@@ -289,6 +289,17 @@ def _cmd_table(args) -> int:
 
 # --------------------------------------------------------------- dispatch
 
+def _cmax(text: str) -> int:
+    """A --cmax value: every modulus 4c must stay within series.MODULUS_LIMIT."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value > series.C_MAX_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be at most {series.C_MAX_LIMIT}, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -314,7 +325,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--D", type=int, required=True)
     c.add_argument("--deltas", type=float, nargs="+")
-    c.add_argument("--cmax", type=int)
+    c.add_argument("--cmax", type=_cmax)
     c.set_defaults(func=_cmd_coeff)
 
     q = sub.add_parser("qforms", help="quadratic form utilities")
@@ -339,7 +350,7 @@ def _build_parser() -> _Parser:
     vp.add_argument("--m", type=int, default=0)
     vp.add_argument("--s", type=float, default=2.0)
     vp.add_argument("--bound", type=int, default=None)
-    vp.add_argument("--cmax", type=int, default=10_000)
+    vp.add_argument("--cmax", type=_cmax, default=10_000)
     vp.add_argument("--tol", type=float, default=None)
     vp.set_defaults(func=_cmd_verify_prop1)
 
@@ -351,11 +362,11 @@ def _build_parser() -> _Parser:
     vt.set_defaults(func=_cmd_verify_thm2)
 
     vk = vs.add_parser("kloosterman")
-    vk.add_argument("--cmax", type=int, default=50)
+    vk.add_argument("--cmax", type=_cmax, default=50)
     vk.set_defaults(func=_cmd_verify_kloosterman)
 
     vy = vs.add_parser("symmetry")
-    vy.add_argument("--cmax", type=int, default=100)
+    vy.add_argument("--cmax", type=_cmax, default=100)
     vy.set_defaults(func=_cmd_verify_symmetry)
 
     vv = vs.add_parser("values")

@@ -140,11 +140,11 @@ def _j_int_coeffs_e6(N: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=128)
 def _jm_int_coeffs(m: int, N: int) -> tuple[int, ...]:
-    """Exact coefficients of j_m from q^-m through q^N (length m + N + 1)."""
-    if m < 0 or m > M_MAX:
-        raise ValueError(f"m must be in [0, {M_MAX}], got {m}")
-    if N < 1 or N > N_MAX:
-        raise ValueError(f"N must be in [1, {N_MAX}], got {N}")
+    """Exact coefficients of j_m from q^-m through q^N (length m + N + 1).
+
+    No range check here: jm_coeffs validates (m, N), and the Faber recursion
+    itself needs j_1 through q^(N + m - 1), past N_MAX.
+    """
     if m == 0:
         return (1,) + (0,) * N
     j = _j_int_coeffs(N + m)  # indexed from q^-1
@@ -186,7 +186,11 @@ def j_coeffs(N: int) -> QExpansion:
 
 
 def jm_coeffs(m: int, N: int) -> QExpansion:
-    """q-expansion of the Faber basis function j_m through q^N."""
+    """q-expansion of the Faber basis function j_m through q^N, m <= M_MAX, N <= N_MAX."""
+    if m < 0 or m > M_MAX:
+        raise ValueError(f"m must be in [0, {M_MAX}], got {m}")
+    if N < 1 or N > N_MAX:
+        raise ValueError(f"N must be in [1, {N_MAX}], got {N}")
     return QExpansion(-m if m > 0 else 0, [float(c) for c in _jm_int_coeffs(m, N)])
 
 

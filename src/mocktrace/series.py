@@ -4,9 +4,20 @@ kloosterman_plus evaluates K+(d, D; 4c) either directly from its definition
 (a sum over odd residues mod 4c, exact integer phase arithmetic) or through
 a Salie-type closed form over the square roots of dD mod 4c, which brings
 the cost per modulus down from O(c) to O(#roots).  The closed form is
-exercised against the direct sum across the test grid.  On top of K+ sit
-the series b(d, D, s), the extrapolated coefficients a(d, D), the spectral
-sides of the trace identity, and the divisor-sum combination.
+exercised against the direct sum across the test grid.
+
+The series need the root sums R(c) for every c <= c_max at once.
+_root_sum_array assembles them in numpy, in blocks of ROOT_SUM_BLOCK moduli:
+every 4c is factored through the smallest-prime-factor sieve, and by CRT
+R(c) is (D/c) times the product, over the prime powers q || 4c, of local
+sums over the square roots of dD mod q.  The local roots are found once per
+prime power and per call.  The scalar per-modulus code (_root_sum,
+sqrts_mod) serves single moduli and is the oracle for the batch.  All moduli
+4c must lie inside the sieve: c_max <= C_MAX_LIMIT.
+
+On top of K+ sit the series b(d, D, s), the extrapolated coefficients
+a(d, D), the spectral sides of the trace identity, and the divisor-sum
+combination.
 """
 
 from __future__ import annotations
@@ -43,7 +54,11 @@ __all__ = [
 ]
 
 SIEVE_MAX = 810_000
+# every modulus 4c must be factorable through the sieve
+C_MAX_LIMIT = (SIEVE_MAX - 1) // 4
+MODULUS_LIMIT = 4 * C_MAX_LIMIT
 KP_IMAG_TOL = 1e-9
+ROOT_SUM_BLOCK = 16_384
 
 DELTAS_DEFAULT = (0.2, 0.1, 0.05)
 CMAX_BY_DELTA = {0.2: 30_000, 0.1: 100_000, 0.05: 200_000}
@@ -70,9 +85,13 @@ def _spf_sieve() -> np.ndarray:
     if _spf is None:
         spf = np.zeros(SIEVE_MAX, dtype=np.int32)
         spf[1] = 1
-        for p in range(2, SIEVE_MAX):
+        # every composite below SIEVE_MAX has a prime factor up to its root
+        for p in range(2, math.isqrt(SIEVE_MAX - 1) + 1):
             if spf[p] == 0:
-                spf[p::p][spf[p::p] == 0] = p
+                multiples = spf[p::p]
+                multiples[multiples == 0] = p
+        primes = np.flatnonzero(spf == 0)[1:]  # skip index 0
+        spf[primes] = primes
         _spf = spf
     return _spf
 
@@ -310,15 +329,26 @@ def _root_sum(d: int, D: int, c: int, m: int = 1) -> float:
     return total.real
 
 
+def _check_modulus(modulus: int) -> None:
+    if modulus % 4 != 0 or modulus <= 0:
+        raise ValueError(f"modulus must be a positive multiple of 4, got {modulus}")
+    if modulus > MODULUS_LIMIT:
+        raise ValueError(f"modulus must be at most {MODULUS_LIMIT}, got {modulus}")
+
+
+def _check_c_max(c_max: int) -> None:
+    if c_max > C_MAX_LIMIT:
+        raise ValueError(f"c_max must be at most {C_MAX_LIMIT}, got {c_max}")
+
+
 def kloosterman_plus(d: int, D: int, modulus: int, method: str = "auto") -> float:
-    """The modified Kloosterman sum K+(d, D; 4c), modulus = 4c.
+    """The modified Kloosterman sum K+(d, D; 4c), modulus = 4c <= MODULUS_LIMIT.
 
     method="direct" evaluates the defining sum; "auto" routes through the
     closed forms (root sums for dD != 0, divisor sums for the degenerate
     arguments) whenever they apply, falling back to the direct sum.
     """
-    if modulus % 4 != 0 or modulus <= 0:
-        raise ValueError(f"modulus must be a positive multiple of 4, got {modulus}")
+    _check_modulus(modulus)
     c = modulus // 4
     if method == "direct":
         return _kp_direct(d, D, c)
@@ -340,19 +370,22 @@ def kloosterman_plus(d: int, D: int, modulus: int, method: str = "auto") -> floa
     return _kp_direct(d, D, c)
 
 
-def s_m_sum(m: int, d: int, D: int, modulus: int) -> float:
-    """The exponential sum S_m(d, D; 4c) over square roots of dD mod 4c."""
-    if modulus % 4 != 0 or modulus <= 0:
-        raise ValueError(f"modulus must be a positive multiple of 4, got {modulus}")
+def _check_s_m_args(m: int, d: int, D: int) -> None:
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     dD = d * D
     if dD <= 0 or math.isqrt(dD) ** 2 != dD:
-        raise ValueError(f"s_m_sum needs a positive square dD, got {dD}")
+        raise ValueError(f"S_m needs a positive square dD, got {dD}")
     if not (D == 1 or is_fundamental_discriminant(D)):
         # the character weighting the roots is only a class function for
         # fundamental D, and the K+ identity provably needs it
         raise ValueError(f"D must be 1 or a fundamental discriminant, got {D}")
+
+
+def s_m_sum(m: int, d: int, D: int, modulus: int) -> float:
+    """The exponential sum S_m(d, D; 4c) over square roots of dD mod 4c."""
+    _check_modulus(modulus)
+    _check_s_m_args(m, d, D)
     return _root_sum(d, D, modulus // 4, m=m)
 
 
@@ -378,26 +411,116 @@ def _dirichlet_T(d: int, w: float) -> float:
     return L / zeta_real(2 * w) * total
 
 
-def _cesaro_last_decade(partials: list[tuple[int, float]], c_max: int) -> tuple[float, float]:
-    """Mean and spread of the partial sums over c in [c_max/10, c_max]."""
-    window = [v for c, v in partials if c >= c_max // 10]
-    if not window:
-        window = [partials[-1][1]]
-    value = sum(window) / len(window)
-    spread = 0.5 * (max(window) - min(window))
-    return value, spread
+def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """Elementwise base^exp mod mod, for moduli below 2^31."""
+    out = np.ones_like(base)
+    base = base % mod
+    exp = exp.copy()
+    while exp.any():
+        out = out * np.where(exp & 1, base, 1) % mod
+        base = base * base % mod
+        exp >>= 1
+    return out
+
+
+def _local_root_table(a: int, c_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The square roots of a modulo every prime power that can divide 4c exactly.
+
+    Those are the odd prime powers up to c_max and 2^k, 4 <= 2^k <= 4 c_max.
+    Returns (q, start, roots) with q sorted and the roots of a mod q[i] in
+    roots[start[i]:start[i + 1]].
+    """
+    spf = _spf_sieve()
+    ns = np.arange(3, c_max + 1)
+    odd_primes = ns[spf[3 : c_max + 1] == ns]
+    factors = [(2, k) for k in range(2, (4 * c_max).bit_length())]
+    for p in odd_primes.tolist():
+        q, k = p, 1
+        while q <= c_max:
+            factors.append((p, k))
+            q, k = q * p, k + 1
+    factors.sort(key=lambda pk: pk[0] ** pk[1])
+    local = [_sqrt_mod_prime_power(a, p, k) for p, k in factors]
+    qs = np.array([p**k for p, k in factors], dtype=np.int64)
+    start = np.zeros(len(local) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in local], out=start[1:])
+    roots = np.fromiter((r for rs in local for r in rs), dtype=np.int64, count=int(start[-1]))
+    return qs, start, roots
+
+
+def _local_sums(M, q, p, m, table) -> np.ndarray:
+    """sum over r^2 = dD mod q of e(r t / q), t = 2m (M/q)^-1 mod q, per pair (M, q)."""
+    qs, start, roots = table
+    t = (2 * m) % q * _powmod(M // q, q - q // p - 1, q) % q
+    pos = np.searchsorted(qs, q)
+    first, count = start[pos], start[pos + 1] - start[pos]
+    pair = np.repeat(np.arange(q.size), count)
+    r = roots[np.repeat(first - (np.cumsum(count) - count), count) + np.arange(pair.size)]
+    angle = 2.0 * np.pi * (r * t[pair] % q[pair]) / q[pair]
+    return np.bincount(pair, np.cos(angle), q.size) + 1j * np.bincount(
+        pair, np.sin(angle), q.size
+    )
+
+
+def _root_sum_block(c: np.ndarray, m: int, table) -> np.ndarray:
+    """The CRT product of the local sums over the prime powers q || 4c."""
+    spf = _spf_sieve()
+    M = 4 * c
+    low = c & -c
+    q = 4 * low  # the 2-part of 4c
+    R = _local_sums(M, q, np.full_like(q, 2), m, table)
+    rest = c // low
+    idx = np.flatnonzero(rest > 1)
+    while idx.size:  # one odd prime of each 4c per pass, smallest first
+        n = rest[idx]
+        p = spf[n].astype(np.int64)
+        q, n = p.copy(), n // p
+        while (more := n % p == 0).any():
+            q[more] *= p[more]
+            n[more] //= p[more]
+        R[idx] *= _local_sums(M[idx], q, p, m, table)
+        rest[idx] = n
+        idx = idx[n > 1]
+    return R
 
 
 @lru_cache(maxsize=16)
-def _root_sum_array(d: int, D: int, c_max: int) -> np.ndarray:
-    """R(c) = K+(d, D; 4c) / (2 sqrt c) for c = 1 .. c_max, as an array."""
+def _root_sum_array(d: int, D: int, c_max: int, m: int = 1) -> np.ndarray:
+    """R(c) = sum over b mod 4c with b^2 = dD of chi_D([c,b,*]) e(mb/2c), c = 1 .. c_max.
+
+    For m = 1 this is K+(d, D; 4c) / (2 sqrt c).  The moduli are processed
+    in blocks of ROOT_SUM_BLOCK.  Within a block, R(c) is (D/c) times the
+    CRT product of the local root sums (_root_sum_block): chi_D of a form
+    [c, b, *] with gcd(c, D) = 1 is (D/c), since the form represents c.
+    Moduli with gcd(c, D) > 1 weigh each root by its own chi_D through
+    _root_sum.  The table of local roots lives for one call only.  The
+    returned array is shared through the cache and read-only.
+    """
     if D == 1 or is_fundamental_discriminant(D):
         dd, DD = d, D
     elif d == 1 or is_fundamental_discriminant(d):
         dd, DD = D, d
     else:
         raise ValueError(f"no fast Kloosterman route for d={d}, D={D}")
-    return np.array([_root_sum(dd, DD, c) for c in range(1, c_max + 1)])
+    _check_c_max(c_max)
+    table = _local_root_table(dd * DD, c_max)
+    chi_table = np.array([kronecker(DD, r) for r in range(abs(DD))])
+    out = np.empty(c_max)
+    for lo in range(1, c_max + 1, ROOT_SUM_BLOCK):
+        c = np.arange(lo, min(lo + ROOT_SUM_BLOCK, c_max + 1), dtype=np.int64)
+        chi = chi_table[c % abs(DD)]
+        R = _root_sum_block(c, m, table) * chi
+        for i in np.flatnonzero(chi == 0).tolist():
+            R[i] = _root_sum(dd, DD, int(c[i]), m)
+        bad = np.abs(R.imag) > KP_IMAG_TOL * np.maximum(1.0, np.abs(R.real))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ArithmeticError(
+                f"root sum ({dd},{DD},{int(c[i])},{m}) imaginary residue {R.imag[i]}"
+            )
+        out[lo - 1 : lo - 1 + c.size] = R.real
+    out.flags.writeable = False
+    return out
 
 
 def _bessel_tail_integral(nu: float, arg0: float, X: float) -> float:
@@ -458,6 +581,7 @@ def b_series(d: int, D: int, s: float, c_max: int) -> SeriesValue:
         raise ValueError(f"b_series requires s > 3/4, got {s}")
     if c_max < 100:
         raise ValueError(f"c_max must be at least 100, got {c_max}")
+    _check_c_max(c_max)
     dD = d * D
     if dD > 0:
         return _b_series_bessel(d, D, s, c_max)
@@ -503,6 +627,7 @@ def coeff_a(
     if d <= 0 or D <= 0 or d % 4 not in (0, 1) or D % 4 not in (0, 1):
         raise ValueError(f"coeff_a needs positive d, D = 0, 1 mod 4, got d={d}, D={D}")
     cmaxes = c_max_by_delta or CMAX_BY_DELTA
+    _check_c_max(max(cmaxes.values()))
     xs, ys, tails = [], [], []
     for delta in deltas:
         s = 0.75 + delta
@@ -544,12 +669,10 @@ def prop1_rhs(d: int, D: int, m: int, s: float, c_max: int = 10_000) -> SeriesVa
     """The Kloosterman-Bessel series side of the trace identity for G_{m,Q}."""
     if s <= 1:
         raise ValueError(f"prop1_rhs requires s > 1, got {s}")
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    _check_s_m_args(m, d, D)
+    _check_c_max(c_max)
     dD = d * D
-    if dD <= 0 or math.isqrt(dD) ** 2 != dD:
-        raise ValueError(f"prop1_rhs needs a positive square dD, got {dD}")
-    sm = np.array([s_m_sum(m, d, D, 4 * c) for c in range(1, c_max + 1)])
+    sm = _root_sum_array(d, D, c_max, m=m)  # S_m(d, D; 4c) for every c
     cs = np.arange(1, c_max + 1, dtype=float)
     if m > 0:
         pref = math.pi / math.sqrt(2) * math.sqrt(m) * dD**0.25

@@ -62,6 +62,12 @@ class TestJmCoeffsCommand:
         assert captured.out == good
         assert "warning" in captured.err
 
+    def test_deepest_advertised_expansion(self, capsys):
+        # m = 2, N = 64 needs j_1 through q^65 inside the Faber recursion
+        assert dispatch(["jm", "coeffs", "--m", "2", "--n", "64"]) == EXIT_OK
+        coeffs = parse_jm(capsys.readouterr().out, 2, 64)
+        assert coeffs[3] == 42987520.0  # c_2(1) = 2 c(2)
+
     def test_idempotent_across_cache_deletion(self, isolated_cache, capsys):
         dispatch(["jm", "coeffs", "--m", "3", "--n", "8"])
         first = capsys.readouterr().out
@@ -143,6 +149,27 @@ class TestTableCommand:
         assert dispatch(args) == EXIT_OK
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestCmaxCeiling:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeff", "--d", "1", "--D", "1", "--cmax", "250000"],
+            ["verify", "prop1", "--cmax", "202500"],
+            ["verify", "kloosterman", "--cmax", "300000"],
+            ["verify", "symmetry", "--cmax", "202500"],
+        ],
+    )
+    def test_oversize_cmax_is_a_usage_error(self, argv, capsys):
+        assert dispatch(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--cmax" in err
+        assert "at most 202499" in err
+
+    def test_non_integer_cmax(self, capsys):
+        assert dispatch(["coeff", "--d", "1", "--D", "1", "--cmax", "lots"]) == EXIT_USAGE
+        assert "invalid int value: 'lots'" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -9,6 +9,9 @@ import mpmath
 import pytest
 
 from mocktrace.modfun import (
+    M_MAX,
+    N_MAX,
+    _jm_int_coeffs,
     cusp_matrix,
     eval_jm,
     eval_jmQ,
@@ -50,6 +53,23 @@ class TestCoefficients:
         lhs = eval_jm(3, tau)
         rhs = eval_jm(1, 3 * tau) + sum(eval_jm(1, (tau + b) / 3) for b in range(3))
         assert abs(lhs - rhs) / abs(lhs) < 1e-12
+
+    def test_whole_advertised_grid(self):
+        # every m <= M_MAX, N <= N_MAX works, and a shorter expansion is a
+        # prefix of a longer one
+        for m in range(M_MAX + 1):
+            full = jm_coeffs(m, N_MAX).coeffs
+            for N in range(1, N_MAX + 1):
+                coeffs = jm_coeffs(m, N).coeffs
+                assert coeffs == full[: len(coeffs)], (m, N)
+
+    def test_exact_duality(self):
+        # n c_m(n) = m c_n(m) for the Faber basis, in exact integers
+        assert _jm_int_coeffs(2, N_MAX)[2 + 1] == 2 * 21493760
+        c = {m: _jm_int_coeffs(m, N_MAX) for m in range(1, M_MAX + 1)}
+        for m in range(1, M_MAX + 1):
+            for n in range(1, M_MAX + 1):
+                assert n * c[m][m + n] == m * c[n][n + m], (m, n)
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

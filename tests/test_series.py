@@ -4,10 +4,19 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mocktrace import series
 from mocktrace.series import (
+    C_MAX_LIMIT,
+    MODULUS_LIMIT,
+    _root_sum,
+    _root_sum_array,
+    _spf_sieve,
     b_series,
+    coeff_a,
     kloosterman_plus,
     prop1_rhs,
     s_m_sum,
@@ -37,6 +46,17 @@ class TestSqrtsMod:
         assert sqrts_mod(0, 8) == [0, 4]
         assert sqrts_mod(1, 8) == [1, 3, 5, 7]
         assert sqrts_mod(4, 16) == [2, 6, 10, 14]
+
+
+class TestSpfSieve:
+    def test_matches_brute_force_below_1e5(self):
+        n_max = 10**5
+        brute = np.zeros(n_max, dtype=np.int64)
+        brute[1] = 1
+        for n in range(2, n_max):
+            if brute[n] == 0:
+                brute[n::n][brute[n::n] == 0] = n
+        assert np.array_equal(_spf_sieve()[:n_max], brute)
 
 
 class TestKloostermanPlus:
@@ -139,3 +159,99 @@ class TestProp1Rhs:
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             prop1_rhs(2, 1, 0, 2.0)
+
+
+class TestRootSumArray:
+    """The batched CRT assembly against the per-modulus root sums."""
+
+    DISCRIMINANTS = [d for d in range(1, 61) if d % 4 in (0, 1)]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        d=st.sampled_from(DISCRIMINANTS),
+        D=st.sampled_from([1, 5, 8, 12, 13]),
+        m=st.integers(0, 3),
+        c_max=st.integers(1, 3000),
+        picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    )
+    def test_matches_scalar_root_sums(self, d, D, m, c_max, picks):
+        R = _root_sum_array(d, D, c_max, m=m)
+        assert R.shape == (c_max,)
+        cs = set(range(1, min(c_max, 60) + 1)) | {c_max}
+        cs |= {1 + int(u * (c_max - 1)) for u in picks}
+        for c in sorted(cs):
+            want = _root_sum(d, D, c, m)
+            assert abs(R[c - 1] - want) <= 1e-12 * max(1.0, abs(want)), (d, D, m, c)
+
+    GRID = [(1, 1), (4, 1), (1, 4), (9, 1), (5, 1), (5, 5), (8, 8), (12, 1), (13, 13)]
+
+    def test_matches_direct_kloosterman(self):
+        # K+(d, D; 4c) = 2 sqrt(c) R(c); (1, 4) goes through the d/D swap
+        for d, D in self.GRID:
+            R = _root_sum_array(d, D, 40)
+            for c in range(1, 41):
+                direct = kloosterman_plus(d, D, 4 * c, method="direct")
+                assert 2.0 * math.sqrt(c) * R[c - 1] == pytest.approx(direct, abs=1e-8), (d, D, c)
+
+    def test_cached_array_is_read_only(self):
+        R = _root_sum_array(1, 1, 100)
+        with pytest.raises(ValueError):
+            R[0] = 0.0
+
+    def test_imaginary_residue_raises_per_modulus(self, monkeypatch):
+        # a one-sided root table makes the local sums complex
+        table = series._local_root_table
+
+        def one_sided(a, c_max):
+            qs, start, roots = table(a, c_max)
+            keep = start[:-1]
+            return qs, np.arange(keep.size + 1), roots[keep]
+
+        monkeypatch.setattr(series, "_local_root_table", one_sided)
+        with pytest.raises(ArithmeticError, match="imaginary residue"):
+            _root_sum_array(1, 1, 7, m=1)
+
+
+class TestModulusCeiling:
+    """Oversize moduli are refused up front, in the caller's terms."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the ceiling check")
+
+        for name in ("_root_sum_array", "_root_sum", "_kp_direct", "_T_zero_case"):
+            monkeypatch.setattr(series, name, refuse)
+
+    def test_limits_fit_the_sieve(self):
+        assert C_MAX_LIMIT == 202_499
+        assert MODULUS_LIMIT == 4 * C_MAX_LIMIT < series.SIEVE_MAX
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: b_series(1, 1, 1.0, C_MAX_LIMIT + 1),
+            lambda: b_series(5, 0, 1.0, 250_000),
+            lambda: coeff_a(1, 1, c_max_by_delta={0.2: 30_000, 0.1: 100_000, 0.05: 250_000}),
+            lambda: prop1_rhs(1, 1, 0, 2.0, c_max=C_MAX_LIMIT + 1),
+        ],
+    )
+    def test_c_max_rejected(self, no_work, call):
+        with pytest.raises(ValueError, match=f"c_max must be at most {C_MAX_LIMIT}"):
+            call()
+
+    @pytest.mark.parametrize("modulus", [MODULUS_LIMIT + 4, series.SIEVE_MAX, 4_000_000])
+    def test_modulus_rejected(self, no_work, modulus):
+        with pytest.raises(ValueError, match=f"modulus must be at most {MODULUS_LIMIT}"):
+            kloosterman_plus(1, 1, modulus)
+        with pytest.raises(ValueError, match=f"modulus must be at most {MODULUS_LIMIT}"):
+            kloosterman_plus(1, 1, modulus, method="direct")
+        with pytest.raises(ValueError, match=f"modulus must be at most {MODULUS_LIMIT}"):
+            s_m_sum(1, 1, 1, modulus)
+
+    def test_largest_modulus_accepted(self):
+        c = C_MAX_LIMIT
+        assert kloosterman_plus(1, 1, MODULUS_LIMIT) == pytest.approx(
+            2.0 * math.sqrt(c) * _root_sum(1, 1, c), abs=1e-9
+        )
+        assert s_m_sum(2, 1, 1, MODULUS_LIMIT) == pytest.approx(_root_sum(1, 1, c, 2), abs=1e-12)
