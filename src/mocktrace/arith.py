@@ -324,17 +324,38 @@ def bessel_J_vec(nu: float, x: np.ndarray) -> np.ndarray:
 
 
 def bessel_I_vec(nu: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized I_nu by ascending series; intended for moderate arguments."""
+    """Vectorized I_nu by ascending series; same domain and messages as bessel_I.
+
+    The series length is fixed once at max(x), where the relative truncation
+    error is largest, and the series is then summed for every entry in one
+    in-place Horner pass over that many terms.
+    """
     x = np.asarray(x, dtype=float)
-    if x.size and float(np.max(x)) > I_ARG_CEILING:
-        raise ValueError("bessel_I_vec argument exceeds overflow ceiling")
-    half = 0.5 * x
-    term = half**nu / math.gamma(nu + 1)
-    total = term.copy()
-    hsq = half * half
-    for k in range(1, 2000):
-        term = term * hsq / (k * (nu + k))
+    if nu < 0:
+        raise ValueError(f"bessel_I requires nu >= 0, got {nu}")
+    if x.size == 0:
+        return np.empty_like(x)
+    lo, hi = float(np.min(x)), float(np.max(x))
+    if not lo >= 0:
+        raise ValueError(f"bessel_I requires x >= 0, got {lo}")
+    if hi > I_ARG_CEILING:
+        raise ValueError(f"bessel_I argument {hi} exceeds overflow ceiling {I_ARG_CEILING}")
+    # terms of sum_k (x^2/4)^k / (k! (nu+1)_k), stopped as bessel_I stops at max(x)
+    hmax = 0.25 * hi * hi
+    term = total = 1.0
+    for n_terms in range(1, 2000):
+        term *= hmax / (n_terms * (nu + n_terms))
         total += term
-        if np.max(term) < 1e-18 * max(float(np.max(total)), 1e-300):
+        if term < 1e-18 * total:
             break
-    return total
+    # two exact-input multiplies by x/2 per term: a rounded (x/2)^2 would
+    # carry one systematic error into every power, ~k ulp at term k
+    half = 0.5 * x
+    acc = np.ones_like(x)
+    for k in range(n_terms, 0, -1):
+        acc *= half
+        acc *= half
+        acc *= 1.0 / (k * (nu + k))
+        acc += 1.0
+    acc *= half**nu / math.gamma(nu + 1)
+    return acc

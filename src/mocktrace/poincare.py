@@ -54,26 +54,43 @@ class CosetRep:
 
 def coset_reps(bound: int) -> list[CosetRep]:
     """All cosets with max(|c|, |d|) <= bound; c >= 0, and (0, 1) for c = 0."""
-    if bound < 1:
-        raise ValueError(f"bound must be positive, got {bound}")
+    C, D, A = _coset_arrays(bound)
     out = [CosetRep(UnimodularMatrix(1, 0, 0, 1), (0, 1))]
-    for c in range(1, bound + 1):
-        for d in range(-bound, bound + 1):
-            if math.gcd(c, abs(d)) != 1:
-                continue
-            a = pow(d, -1, c) if c > 1 else 0
-            b = (a * d - 1) // c
-            out.append(CosetRep(UnimodularMatrix(a, b, c, d), (c, d)))
+    for c, d, a in zip(C[1:].tolist(), D[1:].tolist(), A[1:].tolist()):
+        out.append(CosetRep(UnimodularMatrix(a, (a * d - 1) // c, c, d), (c, d)))
     return out
+
+
+def _inverse_mod(d: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a in [0, c) with a d = 1 mod c, for coprime c >= 1: extended Euclid on arrays."""
+    r0, r1 = c.copy(), d % c
+    t0, t1 = np.zeros_like(c), np.ones_like(c)
+    live = np.flatnonzero(r1)
+    while live.size:
+        q = r0[live] // r1[live]
+        r0[live], r1[live] = r1[live], r0[live] - q * r1[live]
+        t0[live], t1[live] = t1[live], t0[live] - q * t1[live]
+        live = live[r1[live] != 0]
+    return t0 % c
 
 
 @lru_cache(maxsize=4)
 def _coset_arrays(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bottom rows and top-left entries as arrays (C, D, A), identity first."""
-    reps = coset_reps(bound)
-    C = np.array([r.bottom[0] for r in reps], dtype=np.int64)
-    D = np.array([r.bottom[1] for r in reps], dtype=np.int64)
-    A = np.array([r.matrix.a for r in reps], dtype=np.int64)
+    """Bottom rows and top-left entries as read-only arrays (C, D, A), identity first.
+
+    The order is coset_reps': c ascending, then d ascending, over coprime
+    (c, d) with 1 <= c <= bound and |d| <= bound.
+    """
+    if bound < 1:
+        raise ValueError(f"bound must be positive, got {bound}")
+    c = np.arange(1, bound + 1, dtype=np.int64)[:, None]
+    d = np.arange(-bound, bound + 1, dtype=np.int64)[None, :]
+    coprime = np.gcd(c, d) == 1
+    C = np.concatenate(([0], np.broadcast_to(c, coprime.shape)[coprime]))
+    D = np.concatenate(([1], np.broadcast_to(d, coprime.shape)[coprime]))
+    A = np.concatenate(([1], _inverse_mod(D[1:], C[1:])))
+    for arr in (C, D, A):
+        arr.flags.writeable = False
     return C, D, A
 
 
@@ -105,26 +122,55 @@ def _normalize_bottom(c: int, d: int) -> tuple[int, int]:
     return c, d
 
 
+# one entry: a quadrature ray evaluates all its nodes against one excluded set
+@lru_cache(maxsize=1)
+def _coset_geometry(
+    bound: int, excluded: frozenset[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Node-independent parts of the coset sum over the box minus `excluded`.
+
+    Returns float (C, D, 1/C, frac(A/C)) over the kept cosets; 1/C and frac
+    are 0 on the identity, which is entry 0 when it is kept (C[0] == 0).
+    """
+    C, D, A = _coset_arrays(bound)
+    keep = np.ones(len(C), dtype=bool)
+    for cd in excluded:
+        keep &= ~((C == cd[0]) & (D == cd[1]))
+    C, D, A = C[keep].astype(float), D[keep].astype(float), A[keep]
+    inv_c = np.divide(1.0, C, out=np.zeros_like(C), where=C > 0)
+    # a/c contributes only mod 1, so a float quotient of a in [0, c) is exact enough
+    frac = np.divide(A, C, out=np.zeros_like(C), where=C > 0)
+    for arr in (C, D, inv_c, frac):
+        arr.flags.writeable = False
+    return C, D, inv_c, frac
+
+
 def _sum_over_cosets(
     m: int, tau: complex, s: float, bound: int, excluded: frozenset[tuple[int, int]] = frozenset()
 ) -> complex:
-    C, D, A = _coset_arrays(bound)
-    if excluded:
-        keep = np.ones(len(C), dtype=bool)
-        for cd in excluded:
-            keep &= ~((C == cd[0]) & (D == cd[1]))
-        C, D, A = C[keep], D[keep], A[keep]
-    w = C * tau + D
-    y = tau.imag / np.abs(w) ** 2
-    phi = _phi_vec(m, s, y)
+    C, D, inv_c, frac = _coset_geometry(bound, frozenset(excluded))
+    x, y = tau.real, tau.imag
+    # u = Re(c tau + d) and n2 = |c tau + d|^2, so Im(gamma tau) = y / n2
+    u = C * x
+    u += D
+    n2 = C * y
+    n2 *= n2
+    n2 += u * u
+    phi = _phi_vec(m, s, y / n2)
     if m == 0:
         return complex(np.sum(phi))
-    # Re(gamma tau) = a/c - Re(1/(c w)) for c > 0, and Re(tau) on the
-    # identity coset; a/c contributes only mod 1 so float division is safe
-    C_safe = np.where(C > 0, C, 1)
-    re = np.where(C > 0, A / C_safe - (1.0 / (C_safe * w)).real, tau.real)
-    phase = np.exp(-2j * math.pi * m * re)
-    return complex(np.sum(phase * phi))
+    # Re(gamma tau) = a/c - u / (c n2) for c > 0, and Re(tau) on the identity
+    u /= n2
+    u *= inv_c
+    np.subtract(frac, u, out=u)
+    if C[0] == 0:
+        u[0] = x
+    # only m Re(gamma tau) mod 1 matters; reducing it to [-1/2, 1/2] is
+    # exact and keeps cos/sin on their fastest argument range
+    u *= m
+    u -= np.rint(u)
+    u *= 2 * math.pi
+    return complex(np.dot(phi, np.cos(u)), -np.dot(phi, np.sin(u)))
 
 
 def eval_Gm(m: int, tau: complex, s: float, bound: int) -> complex:
@@ -255,9 +301,10 @@ def prop1_lhs(
 ) -> tuple[float, float]:
     """Geometric side: sum over classes of chi_D(Q)/B(s) times the cycle integral.
 
-    Returns (value, err_estimate).  Vertical-line representatives use the
-    symmetrized integral with a fitted power tail; a > 0 representatives
-    use the dtheta/sin(theta) semicircle parametrization.
+    Returns (value, err_estimate).  Vertical-line representatives (a = 0)
+    use the symmetrized integral with a fitted power tail; a != 0
+    representatives go through _split_ray_integral, which straightens each
+    half of the geodesic into a vertical ray by a cusp scaling matrix.
     """
     dD = d * D
     if dD <= 0 or math.isqrt(dD) ** 2 != dD:

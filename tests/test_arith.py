@@ -3,10 +3,12 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 import sympy
 
 from mocktrace.arith import (
+    I_ARG_CEILING,
     bessel_I,
     bessel_I_vec,
     bessel_J,
@@ -145,6 +147,48 @@ class TestBessel:
             assert v == pytest.approx(bessel_J(1.5, float(x)), rel=1e-11)
         for x, v in zip([0.2, 1.0, 3.0], iv):
             assert v == pytest.approx(bessel_I(1.5, float(x)), rel=1e-11)
+
+
+class TestBesselIVec:
+    @pytest.mark.parametrize("nu", [0.0, 0.75, 1.0, 1.5, 2.5])
+    def test_matches_mpmath_up_to_ceiling(self, nu):
+        # at large x a rounded (x/2)^2 compounds over ~x/2 terms; the random
+        # block there catches that (up to 2.8e-14 for a single rounded square)
+        rng = np.random.default_rng(3)
+        xs = np.concatenate(
+            ([0.0], np.geomspace(1e-8, I_ARG_CEILING, 60), rng.uniform(100.0, I_ARG_CEILING, 100))
+        )
+        got = bessel_I_vec(nu, xs)
+        with mpmath.workdps(30):
+            for x, v in zip(xs, got):
+                ref = float(mpmath.besseli(nu, x))
+                assert v == pytest.approx(ref, rel=1e-14, abs=0.0), (nu, x)
+
+    @pytest.mark.parametrize("nu", [0.75, 1.5])
+    def test_one_large_argument_among_tiny_ones(self, nu):
+        # the coset sum's shape: a few cosets high up, most near the real axis
+        rng = np.random.default_rng(4)
+        xs = np.concatenate(([600.0], rng.uniform(0.0, 1e-2, 10**4)))
+        got = bessel_I_vec(nu, xs)
+        with mpmath.workdps(30):
+            for x, v in zip(xs, got):
+                ref = float(mpmath.besseli(nu, x))
+                assert v == pytest.approx(ref, rel=1e-14, abs=0.0), (nu, x)
+
+    def test_empty_input(self):
+        out = bessel_I_vec(1.5, np.array([]))
+        assert out.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "nu, bad, x",
+        [(1.5, -0.5, [0.3, -0.5]), (-0.5, None, [0.3]), (1.5, 800.0, [0.3, 800.0])],
+    )
+    def test_domain_same_as_scalar(self, nu, bad, x):
+        with pytest.raises(ValueError) as scalar:
+            bessel_I(nu, 0.3 if bad is None else bad)
+        with pytest.raises(ValueError) as vec:
+            bessel_I_vec(nu, np.array(x))
+        assert str(vec.value) == str(scalar.value)
 
 
 class TestFundamentalDiscriminant:

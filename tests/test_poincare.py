@@ -13,8 +13,26 @@ from mocktrace.poincare import (
     phi_ms,
     prop1_lhs,
 )
-from mocktrace.poincare import _semicircle_integral, _split_ray_integral
-from mocktrace.qform import QuadForm
+from mocktrace.poincare import (
+    _coset_arrays,
+    _excluded_bottoms,
+    _semicircle_integral,
+    _split_ray_integral,
+    _sum_over_cosets,
+)
+from mocktrace.qform import QuadForm, UnimodularMatrix
+
+
+def _enumerate_cosets(bound):
+    """Reference enumeration: the identity, then coprime (c, d) with c ascending, d ascending."""
+    out = [UnimodularMatrix(1, 0, 0, 1)]
+    for c in range(1, bound + 1):
+        for d in range(-bound, bound + 1):
+            if math.gcd(c, abs(d)) != 1:
+                continue
+            a = pow(d, -1, c) if c > 1 else 0
+            out.append(UnimodularMatrix(a, (a * d - 1) // c, c, d))
+    return out
 
 
 class TestCosetReps:
@@ -52,6 +70,58 @@ class TestCosetReps:
             (2, -1),
             (2, 1),
         ]
+
+
+class TestCosetArrays:
+    @pytest.mark.parametrize("bound", range(1, 41))
+    def test_matches_enumeration(self, bound):
+        C, D, A = _coset_arrays(bound)
+        ref = _enumerate_cosets(bound)
+        assert C.tolist() == [g.c for g in ref]
+        assert D.tolist() == [g.d for g in ref]
+        assert A.tolist() == [g.a for g in ref]
+        for a, c, d in zip(A[1:].tolist(), C[1:].tolist(), D[1:].tolist()):
+            assert 0 <= a < c or (c == 1 and a == 0)
+            assert (a * d - 1) % c == 0
+        assert [r.matrix for r in coset_reps(bound)] == ref
+        assert [r.bottom for r in coset_reps(bound)] == [(g.c, g.d) for g in ref]
+
+    def test_read_only(self):
+        C, _, _ = _coset_arrays(5)
+        with pytest.raises(ValueError):
+            C[0] = 7
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            coset_reps(0)
+
+
+class TestSumOverCosets:
+    BOUND = 12
+
+    @staticmethod
+    def oracle(m, tau, s, bound, excluded):
+        total = 0j
+        for g in _enumerate_cosets(bound):
+            if (g.c, g.d) in excluded:
+                continue
+            w = g.moebius(tau)
+            total += phi_ms(m, s, w.imag) * complex(
+                math.cos(2 * math.pi * m * w.real), -math.sin(2 * math.pi * m * w.real)
+            )
+        return total
+
+    @pytest.mark.parametrize("form", [None, (0, 1, 0), (1, 2, 0)])
+    @pytest.mark.parametrize("s", [1.5, 2.0])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_matches_per_coset_oracle(self, m, s, form):
+        excluded = frozenset() if form is None else _excluded_bottoms(QuadForm(*form))
+        if form == (1, 2, 0):
+            assert (0, 1) not in excluded  # the identity stays in the sum
+        for tau in (complex(0.37, 0.81), complex(-1.3, 0.45), complex(2.6, 3.2)):
+            got = _sum_over_cosets(m, tau, s, self.BOUND, excluded)
+            ref = self.oracle(m, tau, s, self.BOUND, excluded)
+            assert abs(got - ref) <= 1e-12 * abs(ref), (tau, got, ref)
 
 
 class TestPhi:
