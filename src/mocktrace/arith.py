@@ -290,9 +290,10 @@ def bessel_I(nu: float, x: float) -> float:
     half = 0.5 * x
     term = half**nu / math.gamma(nu + 1)
     total = term
-    hsq = half * half
     for k in range(1, 2000):
-        term *= hsq / (k * (nu + k))
+        # two multiplies by x/2, as in bessel_I_vec: a rounded (x/2)^2 would
+        # compound one systematic error over all the terms
+        term = term * half * half / (k * (nu + k))
         total += term
         if term < 1e-18 * total:
             break

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -307,7 +308,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     p = _Parser(prog="mocktrace", description="Traces of modular functions over quadratic forms")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--no-cache", action="store_true", help="disable the q-expansion disk cache")

@@ -60,7 +60,6 @@ class GeodesicCycle:
     kind: str  # "closed" | "cusp_to_cusp" | "vertical_line"
     apex: complex
     theta_range: tuple[float, float] | None = None
-    t_range: tuple[float, float] | None = None
     orientation: int = 1
 
     def point(self, param: float) -> complex:
@@ -98,9 +97,7 @@ def geodesic_cycle(Q: QuadForm) -> GeodesicCycle:
     if Q.a == 0:
         if not square:
             raise ValueError(f"form {Q} with a = 0 must have square discriminant")
-        return GeodesicCycle(
-            Q, "vertical_line", complex(0.0, 1.0), t_range=(-T_VERTICAL, T_VERTICAL)
-        )
+        return GeodesicCycle(Q, "vertical_line", complex(0.0, 1.0))
     c0 = -Q.b / (2 * Q.a)
     r = math.sqrt(d) / (2 * abs(Q.a))
     apex = complex(c0, r)
@@ -125,6 +122,26 @@ def geodesic_cycle(Q: QuadForm) -> GeodesicCycle:
     )
 
 
+def _quad_complex(f: Callable[[float], complex], a: float, b: float):
+    """int_a^b f as two real quad passes over one integrand memoized on the node.
+
+    Returns the integral and the memoized integrand.  (quad's complex_func
+    option is avoided: it loses the sign of reversed limits, and closed
+    cycles run from pi/2 down to theta_end.)
+    """
+    memo: dict[float, complex] = {}
+
+    def g(x: float) -> complex:
+        v = memo.get(x)
+        if v is None:
+            v = memo[x] = f(x)
+        return v
+
+    re, _ = quad(lambda x: g(x).real, a, b, epsabs=QUAD_TOL, limit=QUAD_LIMIT)
+    im, _ = quad(lambda x: g(x).imag, a, b, epsabs=QUAD_TOL, limit=QUAD_LIMIT)
+    return complex(re, im), g
+
+
 def cycle_integral_closed(Q: QuadForm, integrand: Callable[[complex], complex]) -> complex:
     """One period of the cycle integral of integrand * dtau / Q(tau, 1).
 
@@ -137,16 +154,10 @@ def cycle_integral_closed(Q: QuadForm, integrand: Callable[[complex], complex]) 
         raise ValueError(f"closed cycles need a positive nonsquare discriminant, got {d}")
     cyc = geodesic_cycle(Q)
     th0, th1 = cyc.theta_range
-
-    def f_re(theta: float) -> float:
-        return (integrand(cyc.point(theta)) / math.sin(theta)).real
-
-    def f_im(theta: float) -> float:
-        return (integrand(cyc.point(theta)) / math.sin(theta)).imag
-
-    re, _ = quad(f_re, th0, th1, epsabs=QUAD_TOL, limit=QUAD_LIMIT)
-    im, _ = quad(f_im, th0, th1, epsabs=QUAD_TOL, limit=QUAD_LIMIT)
-    return cyc.orientation * complex(re, im) / math.sqrt(d)
+    total, _ = _quad_complex(
+        lambda theta: integrand(cyc.point(theta)) / math.sin(theta), th0, th1
+    )
+    return cyc.orientation * total / math.sqrt(d)
 
 
 def trace_negative(d: int, D: int, m: int) -> TraceResult:
@@ -214,33 +225,21 @@ def _cusp_integral_semicircle(m: int, Q: QuadForm, N: int) -> complex:
     """Integral of j_{m,Q} dtau_Q over the semicircle, theta in (eps, pi - eps)."""
     cyc = geodesic_cycle(Q)
     th0, th1 = cyc.theta_range
-
-    def f_re(theta: float) -> float:
-        return (eval_jmQ(m, Q, cyc.point(theta), N=N) / math.sin(theta)).real
-
-    def f_im(theta: float) -> float:
-        return (eval_jmQ(m, Q, cyc.point(theta), N=N) / math.sin(theta)).imag
-
-    re, _ = quad(f_re, th0, th1, epsabs=QUAD_TOL, limit=QUAD_LIMIT)
-    im, _ = quad(f_im, th0, th1, epsabs=QUAD_TOL, limit=QUAD_LIMIT)
+    total, f = _quad_complex(
+        lambda theta: eval_jmQ(m, Q, cyc.point(theta), N=N) / math.sin(theta), th0, th1
+    )
     # rectangle-rule estimate for the two clipped endpoint slivers; the
     # integrand extends continuously to the cusps, so this leaves O(eps^2)
-    sliver = THETA_EPS * (complex(f_re(th0), f_im(th0)) + complex(f_re(th1), f_im(th1)))
-    return cyc.orientation * (complex(re, im) + sliver)
+    sliver = THETA_EPS * (f(th0) + f(th1))
+    return cyc.orientation * (total + sliver)
 
 
 def _cusp_integral_vertical(m: int, Q: QuadForm, N: int) -> complex:
     """Integral of j_{m,Q}(iy) dy/y over y = e^t, |t| < T."""
-
-    def f_re(t: float) -> float:
-        return eval_jmQ(m, Q, complex(0.0, math.exp(t)), N=N).real
-
-    def f_im(t: float) -> float:
-        return eval_jmQ(m, Q, complex(0.0, math.exp(t)), N=N).imag
-
-    re, _ = quad(f_re, -T_VERTICAL, T_VERTICAL, epsabs=QUAD_TOL, limit=QUAD_LIMIT)
-    im, _ = quad(f_im, -T_VERTICAL, T_VERTICAL, epsabs=QUAD_TOL, limit=QUAD_LIMIT)
-    return complex(re, im)
+    total, _ = _quad_complex(
+        lambda t: eval_jmQ(m, Q, complex(0.0, math.exp(t)), N=N), -T_VERTICAL, T_VERTICAL
+    )
+    return total
 
 
 def _semicircle_equivalent(Q: QuadForm) -> QuadForm:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .qform import IDENTITY, QuadForm, S, UnimodularMatrix, translation
+from .qform import QuadForm, UnimodularMatrix, _xgcd
 
 __all__ = [
     "QExpansion",
@@ -53,11 +53,15 @@ class QExpansion:
         return self.coeffs[idx]
 
     def eval(self, q: complex) -> complex:
-        # Horner from the highest power down, then the principal part.
-        total = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            total = total * q + c
-        return total * q**self.lead
+        return _horner(self.coeffs, q, self.lead)
+
+
+def _horner(coeffs, q: complex, lead: int) -> complex:
+    """sum_k coeffs[k] q^(lead + k): Horner from the highest power down, then q^lead."""
+    total = 0.0 + 0.0j
+    for c in reversed(coeffs):
+        total = total * q + c
+    return total * q**lead
 
 
 def _mul_trunc(f: list[int], g: list[int], n: int) -> list[int]:
@@ -185,42 +189,54 @@ def j_coeffs(N: int) -> QExpansion:
     return QExpansion(-1, [float(c) for c in _j_int_coeffs(N)[: N + 2]])
 
 
-def jm_coeffs(m: int, N: int) -> QExpansion:
-    """q-expansion of the Faber basis function j_m through q^N, m <= M_MAX, N <= N_MAX."""
+@lru_cache(maxsize=None)
+def _jm_floats(m: int, N: int) -> tuple[float, ...]:
+    """The coefficients of j_m from q^-m through q^N as floats, (m, N) validated."""
     if m < 0 or m > M_MAX:
         raise ValueError(f"m must be in [0, {M_MAX}], got {m}")
     if N < 1 or N > N_MAX:
         raise ValueError(f"N must be in [1, {N_MAX}], got {N}")
-    return QExpansion(-m if m > 0 else 0, [float(c) for c in _jm_int_coeffs(m, N)])
+    return tuple(float(c) for c in _jm_int_coeffs(m, N))
+
+
+def jm_coeffs(m: int, N: int) -> QExpansion:
+    """q-expansion of the Faber basis function j_m through q^N, m <= M_MAX, N <= N_MAX."""
+    return QExpansion(-m if m > 0 else 0, list(_jm_floats(m, N)))
+
+
+def _reduce(tau: complex) -> tuple[int, int, int, int]:
+    """Entries (a, b, c, d) of the gamma that moves tau to the fundamental domain."""
+    if tau.imag <= 0:
+        raise ValueError(f"tau must be in the upper half-plane, got {tau}")
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(REDUCE_MAX_ITER):
+        n = round(tau.real)
+        if n != 0:  # translation(-n) @ gamma
+            tau -= n
+            a, b = a - n * c, b - n * d
+        norm = tau.real * tau.real + tau.imag * tau.imag
+        if norm >= 1.0 - 1e-12:
+            return a, b, c, d
+        tau = -1.0 / tau
+        a, b, c, d = -c, -d, a, b  # S @ gamma
+    raise RuntimeError("fundamental-domain reduction did not terminate")
 
 
 def reduce_to_fundamental(tau: complex) -> tuple[complex, UnimodularMatrix]:
     """Move tau to the standard fundamental domain; returns (tau', gamma) with tau' = gamma tau."""
-    if tau.imag <= 0:
-        raise ValueError(f"tau must be in the upper half-plane, got {tau}")
-    gamma = IDENTITY
-    tau0 = tau
-    for _ in range(REDUCE_MAX_ITER):
-        n = round(tau.real)
-        if n != 0:
-            tau -= n
-            gamma = translation(-n) @ gamma
-        norm = tau.real * tau.real + tau.imag * tau.imag
-        if norm >= 1.0 - 1e-12:
-            # one exact-matrix Moebius application avoids accumulated rounding
-            return gamma.moebius(tau0), gamma
-        tau = -1.0 / tau
-        gamma = S @ gamma
-    raise RuntimeError("fundamental-domain reduction did not terminate")
+    gamma = UnimodularMatrix(*_reduce(tau))
+    # one exact-matrix Moebius application avoids accumulated rounding
+    return gamma.moebius(tau), gamma
 
 
 def eval_jm(m: int, tau: complex, N: int = N_DEFAULT) -> complex:
     """Evaluate j_m on the upper half-plane via fundamental-domain reduction."""
     if m == 0:
         return 1.0 + 0.0j
-    tau0, _ = reduce_to_fundamental(tau)
+    a, b, c, d = _reduce(tau)
+    tau0 = (a * tau + b) / (c * tau + d)  # UnimodularMatrix.moebius
     q = cmath.exp(2j * math.pi * tau0)
-    return jm_coeffs(m, N).eval(q)
+    return _horner(_jm_floats(m, N), q, -m)
 
 
 @dataclass(frozen=True)
@@ -242,18 +258,10 @@ def cusp_matrix(r: int, s: int) -> CuspMatrix:
     return CuspMatrix(r, s, UnimodularMatrix(-x, -y, s, -r))
 
 
-def _xgcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+@lru_cache(maxsize=1024)
+def _cusp_gammas(Q: QuadForm) -> tuple[UnimodularMatrix, ...]:
+    """The cusp matrices of the roots of Q; Q.roots() rejects a nonsquare Q."""
+    return tuple(cusp_matrix(p, q).gamma for (p, q) in Q.roots())
 
 
 def _cusp_term(m: int, w: complex, phase_sign: int) -> complex:
@@ -287,20 +295,18 @@ def eval_jmQ(
         raise ValueError(f"m must be in [1, {M_MAX}], got {m}")
     if tau.imag <= 0:
         raise ValueError(f"tau must be in the upper half-plane, got {tau}")
-    roots = Q.roots()  # validates the square discriminant
-    mats = [cusp_matrix(p, q).gamma for (p, q) in roots]
-    ws = [g.moebius(tau) for g in mats]
+    ws = [g.moebius(tau) for g in _cusp_gammas(Q)]
     vmax = max(w.imag for w in ws)
     if phase_sign == -1 and vmax > v_star:
         i_big = max(range(len(ws)), key=lambda i: ws[i].imag)
         w = ws[i_big]
-        jm = jm_coeffs(m, N)
+        coeffs = _jm_floats(m, N)  # coeffs[n + m] = c_m(n)
         total = cmath.exp(-2j * math.pi * m * w.conjugate())
         qw = cmath.exp(2j * math.pi * w)
         qn = 1.0 + 0.0j
         for n in range(1, N + 1):
             qn *= qw
-            total += jm.coeff(n) * qn
+            total += coeffs[n + m] * qn
         for i, wi in enumerate(ws):
             if i != i_big:
                 total -= _cusp_term(m, wi, phase_sign)

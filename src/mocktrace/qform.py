@@ -236,15 +236,6 @@ def classes_square(d: int) -> ClassList:
     return ClassList(d, [QuadForm(a, b, 0) for a in range(b)])
 
 
-def _complete_top_row(p: int, q: int) -> UnimodularMatrix:
-    """A unimodular matrix with top row (p, q), via the extended Euclidean algorithm."""
-    g, x, y = _xgcd(p, q)
-    if g != 1:
-        raise ValueError(f"top row ({p}, {q}) is not coprime")
-    # p*x + q*y = 1  ->  det [[p, q], [-y, x]] = p*x + q*y = 1
-    return UnimodularMatrix(p, q, -y, x)
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     old_r, r = a, b
     old_s, s = 1, 0

@@ -132,10 +132,18 @@ class TestBessel:
                 assert bessel_J(nu, x) == pytest.approx(ref, rel=1e-9, abs=1e-12), (nu, x)
 
     def test_I_matches_mpmath(self):
-        for nu in (0.5, 1.0, 1.5):
-            for x in (0.1, 1.0, 5.0, 20.0, 100.0):
-                ref = float(mpmath.besseli(nu, x))
-                assert bessel_I(nu, x) == pytest.approx(ref, rel=1e-10), (nu, x)
+        # the random block over [100, ceiling] catches a compounding
+        # rounding error (2.6e-14 for a rounded (x/2)^2 per term)
+        rng = np.random.default_rng(5)
+        xs = np.concatenate(
+            ([0.0, 0.1, 1.0, 5.0, 20.0, 100.0], np.geomspace(1e-8, I_ARG_CEILING, 40),
+             rng.uniform(100.0, I_ARG_CEILING, 60))
+        )
+        with mpmath.workdps(30):
+            for nu in (0.0, 0.5, 1.0, 1.5, 2.5):
+                for x in map(float, xs):
+                    ref = float(mpmath.besseli(nu, x))
+                    assert bessel_I(nu, x) == pytest.approx(ref, rel=1e-14, abs=0.0), (nu, x)
 
     def test_vectorized_match_scalar(self):
         import numpy as np

@@ -1,9 +1,14 @@
 """CLI dispatch, serialization, exit codes, and the q-expansion disk cache."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mocktrace
 from mocktrace.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -178,3 +183,33 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert dispatch(["trace", "--d", "1", "--D", "1", "--m", "1", "--zzz"]) == EXIT_USAGE
+
+
+class TestParserReuse:
+    # the parser is built once per process; reusing it must not change
+    # anything a later command prints or returns
+    SEQUENCE = [
+        (["trace", "--d", "-7", "--D", "1", "--m", "2"], EXIT_OK),
+        (["trace", "--d", "-7", "--D", "1"], EXIT_USAGE),
+        (["--format", "csv", "trace", "--d", "5", "--D", "1", "--m", "1"], EXIT_OK),
+        (["jm", "coeffs", "--m", "2", "--n", "8"], EXIT_OK),
+    ]
+
+    def _fresh_process(self, argv, cache):
+        env = dict(os.environ, MOCKTRACE_CACHE=str(cache))
+        src = str(Path(mocktrace.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mocktrace.cli", *argv],
+            capture_output=True, env=env, timeout=120,
+        )
+        return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+    def test_same_bytes_as_fresh_processes(self, tmp_path, capsys):
+        for argv, code in self.SEQUENCE:
+            want = self._fresh_process(argv, tmp_path / "fresh" / argv[-1])
+            assert want[0] == code, want
+            for _ in range(2):
+                rc = dispatch(argv)
+                captured = capsys.readouterr()
+                assert (rc, captured.out, captured.err) == want, argv

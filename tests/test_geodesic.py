@@ -1,9 +1,11 @@
 """Cycle integrals and traces across the three discriminant regimes."""
 
 import math
+from collections import Counter
 
 import pytest
 
+from mocktrace import geodesic
 from mocktrace.arith import pell_fundamental
 from mocktrace.geodesic import (
     cycle_integral_closed,
@@ -48,6 +50,42 @@ class TestClosedCycleIntegral:
     def test_square_disc_rejected(self):
         with pytest.raises(ValueError):
             cycle_integral_closed(QuadForm(1, 2, 0), lambda tau: 1.0)
+
+    @pytest.mark.parametrize("d", [5, 8, 12, 13, 17, 21, 24, 28])
+    def test_cycles_run_downward(self, d):
+        # the path runs from the apex (theta = pi/2) down to the automorph
+        # image, so the quadrature limits are reversed
+        for Q in classes_nonsquare(d).reps:
+            th0, th1 = geodesic_cycle(Q).theta_range
+            assert th0 == math.pi / 2 and 0 < th1 < th0, (d, Q)
+
+
+class TestIntegrandEvaluations:
+    """Each quadrature node is evaluated once per integral."""
+
+    def _record(self, monkeypatch, name):
+        calls = []
+        real = getattr(geodesic, name)
+
+        def spy(m, *args, **kwargs):
+            calls.append((m, *args))
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(geodesic, name, spy)
+        return calls
+
+    def test_closed_cycle_nodes(self, monkeypatch):
+        calls = self._record(monkeypatch, "eval_jm")
+        assert trace_nonsquare(5, 1, 1).value == pytest.approx(-5.1616294, abs=1e-5)
+        assert calls and max(Counter(calls).values()) == 1
+
+    @pytest.mark.parametrize("route", ["vertical", "semicircle"])
+    def test_cusp_to_cusp_nodes(self, monkeypatch, route):
+        # the two classes of d = 4 have different forms, so (m, Q, tau)
+        # separates the integrals
+        calls = self._record(monkeypatch, "eval_jmQ")
+        assert trace_square(4, 1, 1, route=route).value == pytest.approx(-19.9933332, abs=1e-4)
+        assert calls and max(Counter(calls).values()) == 1
 
 
 class TestTraceNegative:

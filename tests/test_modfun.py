@@ -11,6 +11,10 @@ import pytest
 from mocktrace.modfun import (
     M_MAX,
     N_MAX,
+    V_STAR,
+    _cusp_term,
+    _j_int_coeffs,
+    _j_int_coeffs_e6,
     _jm_int_coeffs,
     cusp_matrix,
     eval_jm,
@@ -19,7 +23,7 @@ from mocktrace.modfun import (
     jm_coeffs,
     reduce_to_fundamental,
 )
-from mocktrace.qform import QuadForm
+from mocktrace.qform import IDENTITY, QuadForm, S, translation
 
 
 class TestCoefficients:
@@ -71,6 +75,20 @@ class TestCoefficients:
             for n in range(1, M_MAX + 1):
                 assert n * c[m][m + n] == m * c[n][n + m], (m, n)
 
+    @pytest.mark.parametrize("N", [1, 8, 64])
+    def test_e4_and_e6_routes_agree(self, N):
+        # E4^3/Delta = E6^2/Delta + 1728, in exact integers
+        assert _j_int_coeffs(N) == _j_int_coeffs_e6(N)
+
+    def test_returned_list_is_a_copy(self):
+        tau = complex(0.1, 0.8)
+        before = eval_jm(3, tau, 8)
+        exp = jm_coeffs(3, 8)
+        kept = list(exp.coeffs)
+        exp.coeffs[5] = 1e9
+        assert jm_coeffs(3, 8).coeffs == kept
+        assert eval_jm(3, tau, 8) == before
+
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             jm_coeffs(11, 10)
@@ -91,6 +109,25 @@ class TestReduction:
     def test_lower_half_plane_rejected(self):
         with pytest.raises(ValueError):
             reduce_to_fundamental(complex(0.0, -1.0))
+
+    def test_gamma_matches_matrix_product(self):
+        # the reduction loop as a product of UnimodularMatrix steps
+        def oracle(tau):
+            gamma, tau0 = IDENTITY, tau
+            while True:
+                n = round(tau.real)
+                if n != 0:
+                    tau -= n
+                    gamma = translation(-n) @ gamma
+                if tau.real * tau.real + tau.imag * tau.imag >= 1.0 - 1e-12:
+                    return gamma.moebius(tau0), gamma
+                tau = -1.0 / tau
+                gamma = S @ gamma
+
+        rng = random.Random(11)
+        for _ in range(300):
+            tau = complex(rng.uniform(-20, 20), 10 ** rng.uniform(-3, 1))
+            assert reduce_to_fundamental(tau) == oracle(tau), tau
 
 
 class TestEvalJm:
@@ -120,6 +157,68 @@ class TestEvalJm:
                 continue
             worst = max(worst, abs(eval_jm(1, tau1) - eval_jm(1, tau0)))
         assert worst < 1e-9
+
+
+def _eval_jm_public(m, tau, N):
+    tau0, _ = reduce_to_fundamental(tau)
+    return jm_coeffs(m, N).eval(cmath.exp(2j * math.pi * tau0))
+
+
+def _eval_jmQ_public(m, Q, tau, N):
+    """eval_jmQ rebuilt from public pieces, with the explicit cusp terms."""
+    ws = [cusp_matrix(p, q).gamma.moebius(tau) for p, q in Q.roots()]
+    if max(w.imag for w in ws) <= V_STAR:
+        total = _eval_jm_public(m, tau, N)
+        for w in ws:
+            total -= _cusp_term(m, w, -1)
+        return total
+    i_big = max(range(len(ws)), key=lambda i: ws[i].imag)
+    w = ws[i_big]
+    exp = jm_coeffs(m, N)
+    total = cmath.exp(-2j * math.pi * m * w.conjugate())
+    qw = cmath.exp(2j * math.pi * w)
+    qn = 1.0 + 0.0j
+    for n in range(1, N + 1):
+        qn *= qw
+        total += exp.coeff(n) * qn
+    for i, wi in enumerate(ws):
+        if i != i_big:
+            total -= _cusp_term(m, wi, -1)
+    return total
+
+
+class TestAgainstPublicRoute:
+    # the evaluators read cached coefficient tuples and integer matrices;
+    # the floating-point operations are the public route's, so results are
+    # bit-equal
+    @pytest.mark.parametrize("N", [8, 48, 64])
+    def test_eval_jm(self, N):
+        rng = random.Random(N)
+        for m in range(1, M_MAX + 1):
+            for y in (0.2, 0.9, 1.7, 2.3, 3.0):
+                tau = complex(rng.uniform(-3, 3), y * rng.uniform(0.9, 1.1))
+                assert eval_jm(m, tau, N) == _eval_jm_public(m, tau, N), (m, tau)
+
+    @pytest.mark.parametrize("N", [8, 48, 64])
+    def test_eval_jmQ(self, N):
+        rng = random.Random(100 + N)
+        forms = [QuadForm(0, 1, 0), QuadForm(0, 2, 0), QuadForm(1, 2, 0), QuadForm(2, 5, 0)]
+        grouped = direct = 0
+        for m in range(1, M_MAX + 1):
+            for Q in forms:
+                for _ in range(6):
+                    if Q.a == 0:  # the vertical geodesic
+                        tau = complex(0.0, math.exp(rng.uniform(-2.5, 2.5)))
+                    else:  # the semicircle between the two roots
+                        c0, r = -Q.b / (2 * Q.a), Q.b / (2 * Q.a)
+                        th = rng.uniform(0.02, math.pi - 0.02)
+                        tau = complex(c0 + r * math.cos(th), r * math.sin(th))
+                    want = _eval_jmQ_public(m, Q, tau, N)
+                    assert eval_jmQ(m, Q, tau, N) == want, (m, Q, tau)
+                    vmax = max(cusp_matrix(p, q).gamma.moebius(tau).imag for p, q in Q.roots())
+                    grouped += vmax > V_STAR
+                    direct += vmax <= V_STAR
+        assert grouped > 20 and direct > 20
 
 
 class TestCuspMatrix:
@@ -188,5 +287,7 @@ class TestEvalJmQ:
         assert abs(val.real * 1000.0 - (-4 * math.pi)) < 1e-3
 
     def test_nonsquare_form_rejected(self):
-        with pytest.raises(ValueError):
-            eval_jmQ(1, QuadForm(1, 1, -1), complex(0.0, 1.0))
+        # on every call, not only on the first
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                eval_jmQ(1, QuadForm(1, 1, -1), complex(0.0, 1.0))
