@@ -301,6 +301,17 @@ def _cmax(text: str) -> int:
     return value
 
 
+class _Deltas(argparse.Action):
+    """--deltas: the extrapolation grid, checked by series' own rules at parse time."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        try:
+            series._delta_grid(tuple(values), None)
+        except ValueError as exc:
+            parser.error(f"argument {option_string}: {exc}")
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -327,7 +338,7 @@ def _build_parser() -> _Parser:
     c = sub.add_parser("coeff", help="series-side coefficient a(d, D)")
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--D", type=int, required=True)
-    c.add_argument("--deltas", type=float, nargs="+")
+    c.add_argument("--deltas", type=float, nargs="+", action=_Deltas)
     c.add_argument("--cmax", type=_cmax)
     c.set_defaults(func=_cmd_coeff)
 

@@ -423,6 +423,26 @@ def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     return out
 
 
+def _legendre(x: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise Legendre symbol (x/p) for an odd prime p, by Euler's criterion."""
+    e = _powmod(x % p, np.full_like(x, (p - 1) // 2), p)
+    return np.where(e > 1, -1, e)
+
+
+def _odd_primes(n: int) -> list[int]:
+    """The odd primes dividing n != 0, by trial division."""
+    n = abs(n)
+    n >>= (n & -n).bit_length() - 1
+    out, p = [], 3
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 2
+    return out + [n] if n > 1 else out
+
+
 def _local_root_table(a: int, c_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The square roots of a modulo every prime power that can divide 4c exactly.
 
@@ -448,18 +468,64 @@ def _local_root_table(a: int, c_max: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return qs, start, roots
 
 
+def _genus_root_weights(qs, start, roots, a: int, primes: list[int]) -> np.ndarray | None:
+    """The b-part of chi_D at each odd p | D: (((r^2 - a)/q) / p) for a root r mod q = p^k.
+
+    Roots modulo every other prime power weigh 1.  None when D has no odd
+    prime factor, so that D = 1 pays nothing.
+    """
+    if not primes:
+        return None
+    q = np.repeat(qs, np.diff(start))  # the modulus of each root
+    weights = np.ones(roots.size)
+    for p in primes:
+        at = q % p == 0
+        weights[at] = _legendre((roots[at] * roots[at] - a) // q[at], p)
+    return weights
+
+
+def _genus_sign(c: np.ndarray, D: int, primes: list[int]) -> np.ndarray:
+    """The c-part of chi_D([c, b, *]) for moduli with gcd(c, D) > 1; 0 where 2 | gcd(c, D).
+
+    chi_D is the product of its local characters, and each may be read off
+    any value the form represents prime to its own prime.  At an odd p | D
+    that is c itself when p does not divide c, and (b^2 - dD)/4c when it
+    does; either way the c-part is ((c / p^v) / p) with p^v || c, and the
+    b-part is the root weight of _genus_root_weights.  For even D and odd c
+    the 2-part D_2 of D contributes (D_2 / c).  The local factor at 2 for
+    even c and even D is not worked out here: those moduli get 0, and the
+    caller sums them through the scalar _root_sum.
+    """
+    sign = np.ones_like(c)
+    if D % 2 == 0:
+        odd = abs(D) >> ((abs(D) & -abs(D)).bit_length() - 1)
+        D2 = D // (odd if odd % 4 == 1 else -odd)
+        sign = np.array([kronecker(D2, r) for r in range(8)])[c % 8]
+    for p in primes:
+        cp = c.copy()
+        while (div := cp % p == 0).any():
+            cp[div] //= p
+        sign *= _legendre(cp, p)
+    return sign
+
+
 def _local_sums(M, q, p, m, table) -> np.ndarray:
-    """sum over r^2 = dD mod q of e(r t / q), t = 2m (M/q)^-1 mod q, per pair (M, q)."""
-    qs, start, roots = table
+    """sum over r^2 = dD mod q of w(r) e(r t / q), t = 2m (M/q)^-1 mod q, per pair (M, q).
+
+    w(r) is the root's genus weight, 1 when the table carries none.
+    """
+    qs, start, roots, weights = table
     t = (2 * m) % q * _powmod(M // q, q - q // p - 1, q) % q
     pos = np.searchsorted(qs, q)
     first, count = start[pos], start[pos + 1] - start[pos]
     pair = np.repeat(np.arange(q.size), count)
-    r = roots[np.repeat(first - (np.cumsum(count) - count), count) + np.arange(pair.size)]
-    angle = 2.0 * np.pi * (r * t[pair] % q[pair]) / q[pair]
-    return np.bincount(pair, np.cos(angle), q.size) + 1j * np.bincount(
-        pair, np.sin(angle), q.size
-    )
+    at = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(pair.size)
+    angle = 2.0 * np.pi * (roots[at] * t[pair] % q[pair]) / q[pair]
+    cos, sin = np.cos(angle), np.sin(angle)
+    if weights is not None:
+        cos *= weights[at]
+        sin *= weights[at]
+    return np.bincount(pair, cos, q.size) + 1j * np.bincount(pair, sin, q.size)
 
 
 def _root_sum_block(c: np.ndarray, m: int, table) -> np.ndarray:
@@ -492,9 +558,12 @@ def _root_sum_array(d: int, D: int, c_max: int, m: int = 1) -> np.ndarray:
     in blocks of ROOT_SUM_BLOCK.  Within a block, R(c) is (D/c) times the
     CRT product of the local root sums (_root_sum_block): chi_D of a form
     [c, b, *] with gcd(c, D) = 1 is (D/c), since the form represents c.
-    Moduli with gcd(c, D) > 1 weigh each root by its own chi_D through
-    _root_sum.  The table of local roots lives for one call only.  The
-    returned array is shared through the cache and read-only.
+    When an odd prime of D divides c, chi_D splits into a sign that depends
+    on c (_genus_sign) and a weight on each local root
+    (_genus_root_weights), so those moduli stay in the batch too.  Only the
+    moduli with 2 | gcd(c, D) weigh each root by its own chi_D through the
+    scalar _root_sum.  The table of local roots lives for one call only.
+    The returned array is shared through the cache and read-only.
     """
     if D == 1 or is_fundamental_discriminant(D):
         dd, DD = d, D
@@ -503,14 +572,18 @@ def _root_sum_array(d: int, D: int, c_max: int, m: int = 1) -> np.ndarray:
     else:
         raise ValueError(f"no fast Kloosterman route for d={d}, D={D}")
     _check_c_max(c_max)
-    table = _local_root_table(dd * DD, c_max)
+    primes = _odd_primes(DD)
+    qs, start, roots = _local_root_table(dd * DD, c_max)
+    table = (qs, start, roots, _genus_root_weights(qs, start, roots, dd * DD, primes))
     chi_table = np.array([kronecker(DD, r) for r in range(abs(DD))])
     out = np.empty(c_max)
     for lo in range(1, c_max + 1, ROOT_SUM_BLOCK):
         c = np.arange(lo, min(lo + ROOT_SUM_BLOCK, c_max + 1), dtype=np.int64)
         chi = chi_table[c % abs(DD)]
+        shared = np.flatnonzero(chi == 0)  # gcd(c, D) > 1
+        chi[shared] = _genus_sign(c[shared], DD, primes)
         R = _root_sum_block(c, m, table) * chi
-        for i in np.flatnonzero(chi == 0).tolist():
+        for i in shared[chi[shared] == 0].tolist():
             R[i] = _root_sum(dd, DD, int(c[i]), m)
         bad = np.abs(R.imag) > KP_IMAG_TOL * np.maximum(1.0, np.abs(R.real))
         if bad.any():
@@ -533,19 +606,21 @@ def _bessel_tail_integral(nu: float, arg0: float, X: float) -> float:
     return val
 
 
-def _b_series_bessel(d: int, D: int, s: float, c_max: int) -> SeriesValue:
+def _b_series_bessel(d: int, D: int, s: float, R: np.ndarray) -> SeriesValue:
     """The dD > 0 case: J-Bessel series with mean-corrected tail completion.
 
-    The root sums R(c) have a stable nonzero mean when dD is a square, so a
-    bare truncation drifts like c_max^{3/2 - 2s}.  The last-half empirical
-    mean rho is summed against the smooth Bessel weight analytically past
-    the truncation point, and the value is the Cesaro average of the
-    corrected partial sums over the last decade of moduli.
+    R holds the root sums R(1) .. R(c_max), so c_max is R.size; R does not
+    depend on s, and one array serves every s.  The root sums have a stable
+    nonzero mean when dD is a square, so a bare truncation drifts like
+    c_max^{3/2 - 2s}.  The last-half empirical mean rho is summed against
+    the smooth Bessel weight analytically past the truncation point, and the
+    value is the Cesaro average of the corrected partial sums over the last
+    decade of moduli.
     """
     dD = d * D
     pref = 2.0 ** (-1.5) * math.pi * dD**0.25
     arg0 = math.pi * math.sqrt(dD)
-    R = _root_sum_array(d, D, c_max)
+    c_max = R.size
     cs = np.arange(1, c_max + 1, dtype=float)
     weights = 2.0 * pref * bessel_J_vec(2 * s - 1, arg0 / cs) / np.sqrt(cs)
     partials = np.cumsum(R * weights)
@@ -574,8 +649,8 @@ def b_series(d: int, D: int, s: float, c_max: int) -> SeriesValue:
     Three cases by the sign pattern of (d, D): the J-Bessel series for
     dD > 0 (Cesaro-smoothed over the last decade of moduli), and the
     degenerate power series otherwise.  For the degenerate cases the
-    closed-form Dirichlet series of K+ supplies an analytic tail
-    completion, so the reported value is exact up to floating error.
+    closed-form Dirichlet series of K+ gives the full sum, so the reported
+    value is exact up to floating error.
     """
     if s <= 0.75:
         raise ValueError(f"b_series requires s > 3/4, got {s}")
@@ -584,29 +659,43 @@ def b_series(d: int, D: int, s: float, c_max: int) -> SeriesValue:
     _check_c_max(c_max)
     dD = d * D
     if dD > 0:
-        return _b_series_bessel(d, D, s, c_max)
+        return _b_series_bessel(d, D, s, _root_sum_array(d, D, c_max))
     if dD == 0 and d + D != 0:
         n = d + D
         if n < 0 or n % 4 not in (0, 1):
             raise ValueError(f"degenerate case needs d + D = 0, 1 mod 4 > 0, got {n}")
         pref = 2.0 ** (-4 * s) * math.pi ** (s + 0.25) * n ** (s - 0.25)
-        w = 2 * s - 0.5
-        # the closed-form Dirichlet series gives the full sum; a truncated
-        # partial sum is kept alongside for the stabilization checks
-        c_part = min(c_max, 10_000)
-        partial = sum(_T_zero_case(n, c) * c**-w for c in range(1, c_part + 1))
-        value = 4.0 * pref * _dirichlet_T(n, w)
-        return SeriesValue(
-            value, c_max, s, 1e-12 * abs(value), {"case": "degenerate", "partial": 4.0 * pref * partial}
-        )
+        value = 4.0 * pref * _dirichlet_T(n, 2 * s - 0.5)
+        return SeriesValue(value, c_max, s, 1e-12 * abs(value), {"case": "degenerate"})
     if d == 0 and D == 0:
         pref = 2.0 ** (0.5 - 6 * s) * math.sqrt(math.pi) * gamma_real(2 * s)
         # c = k^2 terms only: K+(0,0;4k^2) = 4 k phi(k)
         value = 4.0 * pref * zeta_real(4 * s - 2) / zeta_real(4 * s - 1)
-        kmax = math.isqrt(c_max)
-        partial = 4.0 * pref * sum(_euler_phi(k) * k ** (1 - 4 * s) for k in range(1, kmax + 1))
-        return SeriesValue(value, c_max, s, 1e-12 * abs(value), {"case": "zero", "partial": partial})
+        return SeriesValue(value, c_max, s, 1e-12 * abs(value), {"case": "zero"})
     raise ValueError(f"b_series is undefined for dD < 0, got d={d}, D={D}")
+
+
+def _delta_grid(deltas: tuple[float, ...], c_max_by_delta: dict | None) -> list[tuple[float, int]]:
+    """The (delta, c_max) pairs of an extrapolation, checked before any work.
+
+    The fits have three unknowns, so they need at least three distinct
+    deltas; every delta must be positive (s = 3/4 + delta > 3/4) and every
+    c_max used at least 100 and within the sieve.
+    """
+    cmaxes = c_max_by_delta or CMAX_BY_DELTA
+    _check_c_max(max(cmaxes.values()))
+    for delta in deltas:
+        if not 0 < delta < math.inf:
+            raise ValueError(f"deltas must be positive and finite, got {delta}")
+    if len(set(deltas)) < 3:
+        raise ValueError(
+            f"the extrapolation needs at least 3 distinct deltas, got {len(set(deltas))}"
+        )
+    grid = [(delta, cmaxes.get(delta, max(cmaxes.values()))) for delta in deltas]
+    for delta, cm in grid:
+        if cm < 100:
+            raise ValueError(f"c_max must be at least 100, got {cm} for delta {delta}")
+    return grid
 
 
 def coeff_a(
@@ -626,13 +715,15 @@ def coeff_a(
     """
     if d <= 0 or D <= 0 or d % 4 not in (0, 1) or D % 4 not in (0, 1):
         raise ValueError(f"coeff_a needs positive d, D = 0, 1 mod 4, got d={d}, D={D}")
-    cmaxes = c_max_by_delta or CMAX_BY_DELTA
-    _check_c_max(max(cmaxes.values()))
+    grid = _delta_grid(deltas, c_max_by_delta)
+    c_max = max(cm for _, cm in grid)
+    # R(c) does not depend on s: one array at the largest c_max serves every
+    # delta through its prefix
+    R = _root_sum_array(d, D, c_max)
     xs, ys, tails = [], [], []
-    for delta in deltas:
+    for delta, cm in grid:
         s = 0.75 + delta
-        cm = cmaxes.get(delta, max(cmaxes.values()))
-        bdD = b_series(d, D, s, cm)
+        bdD = _b_series_bessel(d, D, s, R[:cm])
         bd0 = b_series(d, 0, s, cm)
         b0D = b_series(0, D, s, cm)
         b00 = b_series(0, 0, s, cm)
@@ -651,13 +742,7 @@ def coeff_a(
     alt_coeffs, *_ = np.linalg.lstsq(alt, ya, rcond=None)
     model_err = abs(value - float(alt_coeffs[0]))
     tail = max(tails) + model_err
-    return SeriesValue(
-        value,
-        max(cmaxes.values()),
-        0.75,
-        tail,
-        {"deltas": list(deltas), "F_values": ys},
-    )
+    return SeriesValue(value, c_max, 0.75, tail, {"deltas": list(deltas), "F_values": ys})
 
 
 # ----------------------------------------------------------------------
@@ -713,6 +798,7 @@ def thm2_rhs(
         raise ValueError(f"thm2_rhs needs d, D > 0, got d={d}, D={D}")
     if not (D == 1 or is_fundamental_discriminant(D)):
         raise ValueError(f"D must be fundamental, got {D}")
+    c_max = max(cm for _, cm in _delta_grid(deltas, c_max_by_delta))
     total = 0.0
     tail = 0.0
     for n in divisors(m):
@@ -722,5 +808,4 @@ def thm2_rhs(
         a = coeff_a(n * n * D, d, deltas=deltas, c_max_by_delta=c_max_by_delta)
         total += ch * n * a.value
         tail += n * a.tail_estimate
-    cmaxes = c_max_by_delta or CMAX_BY_DELTA
-    return SeriesValue(total, max(cmaxes.values()), 0.75, tail, {"m": m})
+    return SeriesValue(total, c_max, 0.75, tail, {"m": m})

@@ -177,6 +177,28 @@ class TestCmaxCeiling:
         assert "invalid int value: 'lots'" in capsys.readouterr().err
 
 
+class TestDeltaGrid:
+    @pytest.mark.parametrize(
+        "deltas, message",
+        [
+            (["0.2"], "the extrapolation needs at least 3 distinct deltas, got 1"),
+            (["0.2", "0.1"], "the extrapolation needs at least 3 distinct deltas, got 2"),
+            (["0.2", "0.2", "0.2"], "the extrapolation needs at least 3 distinct deltas, got 1"),
+            (["0.2", "0.1", "0"], "deltas must be positive and finite, got 0.0"),
+            (["0.2", "0.1", "-0.05"], "deltas must be positive and finite, got -0.05"),
+        ],
+    )
+    def test_unusable_deltas_are_a_usage_error(self, deltas, message, capsys):
+        assert dispatch(["coeff", "--d", "1", "--D", "1", "--deltas", *deltas]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --deltas: {message}" in captured.err
+
+    def test_small_cmax_is_a_domain_error(self, capsys):
+        assert dispatch(["coeff", "--d", "1", "--D", "1", "--cmax", "50"]) == EXIT_DOMAIN
+        assert "c_max must be at least 100, got 50" in capsys.readouterr().err
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert dispatch(["bogus"]) == EXIT_USAGE

@@ -21,6 +21,7 @@ from mocktrace.series import (
     prop1_rhs,
     s_m_sum,
     sqrts_mod,
+    thm2_rhs,
 )
 from mocktrace.arith import divisors, kronecker
 
@@ -135,9 +136,20 @@ class TestBSeries:
             assert a.value == pytest.approx(b.value, abs=1e-9)
 
     def test_zero_case_partial_close_to_exact(self):
-        sv = b_series(5, 0, 1.0, 5000)
-        assert "partial" in sv.params
-        assert sv.params["partial"] == pytest.approx(sv.value, rel=0.05)
+        # the closed form against 5,000 terms of the defining series
+        s, n = 1.0, 5
+        pref = 2.0 ** (-4 * s) * math.pi ** (s + 0.25) * n ** (s - 0.25)
+        terms = (series._T_zero_case(n, c) * c ** (0.5 - 2 * s) for c in range(1, 5001))
+        partial = 4.0 * pref * sum(terms)
+        assert partial == pytest.approx(b_series(n, 0, s, 5000).value, rel=0.05)
+
+    def test_double_zero_partial_close_to_exact(self):
+        # only c = k^2 contributes: K+(0, 0; 4k^2) = 4 k phi(k)
+        s, c_max = 1.0, 1000
+        pref = 2.0 ** (0.5 - 6 * s) * math.sqrt(math.pi) * math.gamma(2 * s)
+        terms = (series._euler_phi(k) * k ** (1 - 4 * s) for k in range(1, math.isqrt(c_max) + 1))
+        partial = 4.0 * pref * sum(terms)
+        assert partial == pytest.approx(b_series(0, 0, s, c_max).value, rel=0.05)
 
     def test_double_zero_positive(self):
         sv = b_series(0, 0, 1.0, 1000)
@@ -169,7 +181,7 @@ class TestRootSumArray:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
         d=st.sampled_from(DISCRIMINANTS),
-        D=st.sampled_from([1, 5, 8, 12, 13]),
+        D=st.sampled_from([1, 5, 8, 12, 13, 21, 65]),
         m=st.integers(0, 3),
         c_max=st.integers(1, 3000),
         picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
@@ -183,7 +195,10 @@ class TestRootSumArray:
             want = _root_sum(d, D, c, m)
             assert abs(R[c - 1] - want) <= 1e-12 * max(1.0, abs(want)), (d, D, m, c)
 
-    GRID = [(1, 1), (4, 1), (1, 4), (9, 1), (5, 1), (5, 5), (8, 8), (12, 1), (13, 13)]
+    GRID = [
+        (1, 1), (4, 1), (1, 4), (9, 1), (5, 1), (5, 5), (8, 8), (12, 1), (13, 13),
+        (1, 21), (21, 21), (5, 65), (65, 65), (12, 12),
+    ]
 
     def test_matches_direct_kloosterman(self):
         # K+(d, D; 4c) = 2 sqrt(c) R(c); (1, 4) goes through the d/D swap
@@ -210,6 +225,50 @@ class TestRootSumArray:
         monkeypatch.setattr(series, "_local_root_table", one_sided)
         with pytest.raises(ArithmeticError, match="imaginary residue"):
             _root_sum_array(1, 1, 7, m=1)
+
+
+class TestCoeffA:
+    """One root-sum array per coefficient, shared by every delta."""
+
+    SMALL = {0.2: 3_000, 0.1: 17_000, 0.05: 40_000}
+
+    def test_one_root_sum_pass_at_the_largest_c_max(self, monkeypatch):
+        calls = []
+        inner = _root_sum_array
+
+        def counting(*args):
+            misses = inner.cache_info().misses
+            out = inner(*args)
+            calls.append((args, inner.cache_info().misses - misses))
+            return out
+
+        inner.cache_clear()
+        monkeypatch.setattr(series, "_root_sum_array", counting)
+        # 0.3 is not on the grid: its larger c_max must not be built
+        sv = coeff_a(1, 1, c_max_by_delta={**self.SMALL, 0.3: 60_000})
+        assert calls == [((1, 1, 40_000), 1)]
+        assert sv.c_max == 40_000
+
+    @pytest.mark.parametrize("d", [1, 4, 5, 13])
+    def test_F_values_match_per_delta_series(self, d):
+        sv = coeff_a(d, 1, c_max_by_delta=self.SMALL)
+        # b_series builds its own array at each delta's c_max
+        _root_sum_array.cache_clear()
+        want = []
+        for delta in series.DELTAS_DEFAULT:
+            s, cm = 0.75 + delta, self.SMALL[delta]
+            bdD, bd0 = b_series(d, 1, s, cm), b_series(d, 0, s, cm)
+            b0D, b00 = b_series(0, 1, s, cm), b_series(0, 0, s, cm)
+            want.append((bdD.value - bd0.value * b0D.value / b00.value) / math.sqrt(d))
+        assert sv.params["F_values"] == want
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_degenerate_series_sum_no_terms(self, d, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("degenerate series summed term by term")
+
+        monkeypatch.setattr(series, "_T_zero_case", refuse)
+        assert math.isfinite(coeff_a(d, 1, c_max_by_delta=self.SMALL).value)
 
 
 class TestModulusCeiling:
@@ -239,6 +298,26 @@ class TestModulusCeiling:
     def test_c_max_rejected(self, no_work, call):
         with pytest.raises(ValueError, match=f"c_max must be at most {C_MAX_LIMIT}"):
             call()
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"deltas": (0.2,)}, "at least 3 distinct deltas, got 1"),
+            ({"deltas": (0.2, 0.1)}, "at least 3 distinct deltas, got 2"),
+            ({"deltas": (0.2, 0.2, 0.2)}, "at least 3 distinct deltas, got 1"),
+            ({"deltas": (0.2, 0.1, 0.0)}, "deltas must be positive and finite, got 0.0"),
+            ({"deltas": (0.2, 0.1, -0.05)}, "deltas must be positive and finite, got -0.05"),
+            ({"deltas": (0.2, 0.1, math.nan)}, "deltas must be positive and finite, got nan"),
+            (
+                {"c_max_by_delta": {0.2: 30_000, 0.1: 100_000, 0.05: 50}},
+                "c_max must be at least 100, got 50 for delta 0.05",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("fn", ["coeff_a", "thm2_rhs"])
+    def test_delta_grid_rejected(self, no_work, fn, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            coeff_a(1, 1, **kwargs) if fn == "coeff_a" else thm2_rhs(1, 1, 2, **kwargs)
 
     @pytest.mark.parametrize("modulus", [MODULUS_LIMIT + 4, series.SIEVE_MAX, 4_000_000])
     def test_modulus_rejected(self, no_work, modulus):
