@@ -3,16 +3,18 @@
 Kronecker symbol, the theta-multiplier unit eps_a, divisor sums, fundamental
 solutions of t^2 - d u^2 = 4, and the real special functions (Gamma, zeta,
 Dirichlet L, Bessel J and I of real order) that the series and Poincare
-modules consume.
+modules consume.  zeta, L and the Bessel functions come from scipy.special,
+behind the package's own domain checks; only the vectorized I_nu of the
+coset sum keeps an ascending series, which is faster there than scipy's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from scipy import special
 
 __all__ = [
     "PellSolution",
@@ -30,15 +32,8 @@ __all__ = [
     "is_fundamental_discriminant",
 ]
 
-# Ascending series for J is used below this argument; the oscillatory
-# integral representation above it.  At x = 10 the series loses ~5 digits
-# to cancellation, which still leaves ~1e-11 relative.
-J_SERIES_CUTOFF = 10.0
-
 # exp overflows shortly past this; I_nu(x) ~ e^x/sqrt(2 pi x).
 I_ARG_CEILING = 700.0
-
-PELL_U_CEILING = 10**6
 
 
 @dataclass(frozen=True)
@@ -104,20 +99,32 @@ def eps(a: int) -> complex:
 
 
 def pell_fundamental(d: int) -> PellSolution:
-    """Fundamental solution of t^2 - d u^2 = 4 by direct search on u.
+    """Fundamental solution of t^2 - d u^2 = 4 by the continued fraction of omega.
 
-    d must be a positive nonsquare discriminant (d = 0, 1 mod 4).
+    d must be a positive nonsquare discriminant (d = 0, 1 mod 4), and
+    omega = (d mod 2 + sqrt d)/2.  The period of its complete quotients
+    (P + sqrt d)/Q closes at the first Q = 2.  There the denominators u_prev,
+    u of the last two convergents give the fundamental unit (t + u sqrt d)/2
+    of Z[omega], t = P u + 2 u_prev, of norm +-1; a unit of norm -1 is squared.
     """
     if d <= 0 or d % 4 not in (0, 1):
         raise ValueError(f"d must be a positive discriminant, got {d}")
-    if math.isqrt(d) ** 2 == d:
+    root = math.isqrt(d)
+    if root * root == d:
         raise ValueError(f"d must not be a perfect square, got {d}")
-    for u in range(1, PELL_U_CEILING + 1):
-        t2 = d * u * u + 4
-        t = math.isqrt(t2)
-        if t * t == t2:
-            return PellSolution(t=t, u=u, d=d)
-    raise ValueError(f"no Pell solution with u <= {PELL_U_CEILING} for d={d}")
+    P, Q = d % 2, 2
+    u_prev, u = 1, 0
+    while True:
+        a = (P + root) // Q
+        u_prev, u = u, a * u + u_prev
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        if Q == 2:
+            break
+    t = P * u + 2 * u_prev
+    if t * t - d * u * u == -4:
+        t, u = (t * t + d * u * u) // 2, t * u
+    return PellSolution(t=t, u=u, d=d)
 
 
 def divisors(m: int) -> list[int]:
@@ -136,7 +143,7 @@ def divisors(m: int) -> list[int]:
 
 
 def sigma_real(m: int, w: float) -> float:
-    """Divisor power sum sigma_w(m) = sum of n^w over n | m."""
+    """Divisor power sum sigma_w(m) = sum of n^w over n | m; an exact int for integer w >= 0."""
     return sum(n**w for n in divisors(m))
 
 
@@ -147,34 +154,11 @@ def gamma_real(x: float) -> float:
     return math.gamma(x)
 
 
-# Bernoulli numbers B_2, B_4, ..., B_16 for Euler-Maclaurin tails.
-_BERNOULLI = [
-    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
-]
-
-
-def _hurwitz_zeta(s: float, a: float, n_terms: int = 24) -> float:
-    """Hurwitz zeta(s, a) for s > 1, a > 0, by Euler-Maclaurin."""
-    total = sum((k + a) ** (-s) for k in range(n_terms))
-    x = n_terms + a
-    total += x ** (1 - s) / (s - 1)
-    total += 0.5 * x ** (-s)
-    # correction terms B_2k/(2k)! * (s)_(2k-1) * x^(-s-2k+1)
-    poch = s
-    fact = 2.0
-    for j, b in enumerate(_BERNOULLI):
-        k = j + 1
-        total += b / fact * poch * x ** (-s - 2 * k + 1)
-        poch *= (s + 2 * k - 1) * (s + 2 * k)
-        fact *= (2 * k + 1) * (2 * k + 2)
-    return total
-
-
 def zeta_real(s: float) -> float:
-    """Riemann zeta for real s > 1 (Euler-Maclaurin accelerated)."""
+    """Riemann zeta for real s > 1."""
     if s <= 1:
         raise ValueError(f"zeta_real requires s > 1, got {s}")
-    return _hurwitz_zeta(s, 1.0)
+    return float(special.zeta(s))
 
 
 def is_fundamental_discriminant(D: int) -> bool:
@@ -211,57 +195,13 @@ def dirichlet_L(D: int, s: float) -> float:
     if D == 1:
         return zeta_real(s)
     q = abs(D)
-    return q ** (-s) * sum(
-        kronecker(D, r) * _hurwitz_zeta(s, r / q) for r in range(1, q + 1) if kronecker(D, r) != 0
-    )
+    terms = (kronecker(D, r) * float(special.zeta(s, r / q)) for r in range(1, q + 1))
+    return q ** (-s) * sum(terms)
 
 
 # ----------------------------------------------------------------------
 # Bessel functions, real order nu in [0, 10]
 # ----------------------------------------------------------------------
-
-
-def _bessel_J_series(nu: float, x: float) -> float:
-    half = 0.5 * x
-    term = half**nu / math.gamma(nu + 1)
-    total = term
-    msq = -half * half
-    for k in range(1, 300):
-        term *= msq / (k * (nu + k))
-        total += term
-        if abs(term) < 1e-18 * (abs(total) + 1e-300):
-            break
-    return total
-
-
-@lru_cache(maxsize=64)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _bessel_J_integral(nu: float, x: float) -> float:
-    # J_nu(x) = (1/pi) int_0^pi cos(nu t - x sin t) dt
-    #           - sin(nu pi)/pi int_0^inf exp(-x sinh t - nu t) dt
-    # Composite 24-point Gauss panels, ~3 panels per oscillation.
-    panels = max(4, int(0.2 * (x + nu)) + 2)
-    nodes, weights = _leggauss(24)
-    edges = np.linspace(0.0, math.pi, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    halfw = 0.5 * (edges[1:] - edges[:-1])
-    t = (mid[:, None] + halfw[:, None] * nodes[None, :]).ravel()
-    w = (halfw[:, None] * weights[None, :]).ravel()
-    osc = float(np.dot(w, np.cos(nu * t - x * np.sin(t)))) / math.pi
-    total = osc
-    snp = math.sin(nu * math.pi)
-    if abs(snp) > 1e-15:
-        # substitute v = x sinh t: decays like e^-v
-        nodes2, weights2 = _leggauss(80)
-        v = 20.0 * (nodes2 + 1.0)  # v in (0, 40)
-        u = v / x
-        t2 = np.arcsinh(u)
-        integrand = np.exp(-v - nu * t2) / np.sqrt(1.0 + u * u) / x
-        total -= snp / math.pi * 20.0 * float(np.dot(weights2, integrand))
-    return total
 
 
 def bessel_J(nu: float, x: float) -> float:
@@ -270,11 +210,7 @@ def bessel_J(nu: float, x: float) -> float:
         raise ValueError(f"bessel_J requires x >= 0, got {x}")
     if nu < 0:
         raise ValueError(f"bessel_J requires nu >= 0, got {nu}")
-    if x == 0.0:
-        return 1.0 if nu == 0 else 0.0
-    if x <= J_SERIES_CUTOFF:
-        return _bessel_J_series(nu, x)
-    return _bessel_J_integral(nu, x)
+    return float(special.jv(nu, x))
 
 
 def bessel_I(nu: float, x: float) -> float:
@@ -285,43 +221,12 @@ def bessel_I(nu: float, x: float) -> float:
         raise ValueError(f"bessel_I requires nu >= 0, got {nu}")
     if x > I_ARG_CEILING:
         raise ValueError(f"bessel_I argument {x} exceeds overflow ceiling {I_ARG_CEILING}")
-    if x == 0.0:
-        return 1.0 if nu == 0 else 0.0
-    half = 0.5 * x
-    term = half**nu / math.gamma(nu + 1)
-    total = term
-    for k in range(1, 2000):
-        # two multiplies by x/2, as in bessel_I_vec: a rounded (x/2)^2 would
-        # compound one systematic error over all the terms
-        term = term * half * half / (k * (nu + k))
-        total += term
-        if term < 1e-18 * total:
-            break
-    return total
+    return float(special.iv(nu, x))
 
 
 def bessel_J_vec(nu: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized J_nu over an array of small arguments (x <= series cutoff).
-
-    Falls back to scalar evaluation for any entries beyond the cutoff.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x <= J_SERIES_CUTOFF
-    xs = x[small]
-    half = 0.5 * xs
-    term = half**nu / math.gamma(nu + 1)
-    total = term.copy()
-    msq = -half * half
-    for k in range(1, 300):
-        term = term * msq / (k * (nu + k))
-        total += term
-        if np.max(np.abs(term)) < 1e-18:
-            break
-    out[small] = total
-    for i in np.nonzero(~small)[0]:
-        out[i] = _bessel_J_integral(nu, float(x[i]))
-    return out
+    """J_nu over an array of arguments x >= 0, elementwise as bessel_J."""
+    return special.jv(nu, np.asarray(x, dtype=float))
 
 
 def bessel_I_vec(nu: float, x: np.ndarray) -> np.ndarray:
@@ -341,7 +246,7 @@ def bessel_I_vec(nu: float, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"bessel_I requires x >= 0, got {lo}")
     if hi > I_ARG_CEILING:
         raise ValueError(f"bessel_I argument {hi} exceeds overflow ceiling {I_ARG_CEILING}")
-    # terms of sum_k (x^2/4)^k / (k! (nu+1)_k), stopped as bessel_I stops at max(x)
+    # terms of sum_k (x^2/4)^k / (k! (nu+1)_k), up to the first below 1e-18 of the sum at max(x)
     hmax = 0.25 * hi * hi
     term = total = 1.0
     for n_terms in range(1, 2000):

@@ -301,6 +301,14 @@ def _cmax(text: str) -> int:
     return value
 
 
+def _series_cmax(text: str) -> int:
+    """A --cmax value for a series: also at least series.C_MAX_FLOOR."""
+    value = _cmax(text)
+    if value < series.C_MAX_FLOOR:
+        raise argparse.ArgumentTypeError(f"must be at least {series.C_MAX_FLOOR}, got {value}")
+    return value
+
+
 class _Deltas(argparse.Action):
     """--deltas: the extrapolation grid, checked by series' own rules at parse time."""
 
@@ -339,7 +347,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--D", type=int, required=True)
     c.add_argument("--deltas", type=float, nargs="+", action=_Deltas)
-    c.add_argument("--cmax", type=_cmax)
+    c.add_argument("--cmax", type=_series_cmax)
     c.set_defaults(func=_cmd_coeff)
 
     q = sub.add_parser("qforms", help="quadratic form utilities")
@@ -364,7 +372,7 @@ def _build_parser() -> _Parser:
     vp.add_argument("--m", type=int, default=0)
     vp.add_argument("--s", type=float, default=2.0)
     vp.add_argument("--bound", type=int, default=None)
-    vp.add_argument("--cmax", type=_cmax, default=10_000)
+    vp.add_argument("--cmax", type=_series_cmax, default=10_000)
     vp.add_argument("--tol", type=float, default=None)
     vp.set_defaults(func=_cmd_verify_prop1)
 

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .arith import sigma_real
 from .qform import QuadForm, UnimodularMatrix, _xgcd
 
 __all__ = [
@@ -95,15 +96,11 @@ def _eta24_over_q(n: int) -> list[int]:
     return _mul_trunc(e12, e12, n)
 
 
-def _sigma(k: int, n: int) -> int:
-    return sum(d**k for d in range(1, n + 1) if n % d == 0)
-
-
 def _eisenstein(weight: int, n: int) -> list[int]:
     if weight == 4:
-        return [1] + [240 * _sigma(3, k) for k in range(1, n)]
+        return [1] + [240 * sigma_real(k, 3) for k in range(1, n)]
     if weight == 6:
-        return [1] + [-504 * _sigma(5, k) for k in range(1, n)]
+        return [1] + [-504 * sigma_real(k, 5) for k in range(1, n)]
     raise ValueError(weight)
 
 

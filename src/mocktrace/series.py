@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.integrate import quad
 
 from .arith import (
     bessel_J,
@@ -57,6 +58,8 @@ SIEVE_MAX = 810_000
 # every modulus 4c must be factorable through the sieve
 C_MAX_LIMIT = (SIEVE_MAX - 1) // 4
 MODULUS_LIMIT = 4 * C_MAX_LIMIT
+# the series complete their tails from checkpoints at c >= C_MAX_FLOOR
+C_MAX_FLOOR = 100
 KP_IMAG_TOL = 1e-9
 ROOT_SUM_BLOCK = 16_384
 
@@ -341,6 +344,13 @@ def _check_c_max(c_max: int) -> None:
         raise ValueError(f"c_max must be at most {C_MAX_LIMIT}, got {c_max}")
 
 
+def _check_series_c_max(c_max: int, where: str = "") -> None:
+    """The c_max range of a series: at least C_MAX_FLOOR, at most C_MAX_LIMIT."""
+    if c_max < C_MAX_FLOOR:
+        raise ValueError(f"c_max must be at least {C_MAX_FLOOR}, got {c_max}{where}")
+    _check_c_max(c_max)
+
+
 def kloosterman_plus(d: int, D: int, modulus: int, method: str = "auto") -> float:
     """The modified Kloosterman sum K+(d, D; 4c), modulus = 4c <= MODULUS_LIMIT.
 
@@ -598,12 +608,29 @@ def _root_sum_array(d: int, D: int, c_max: int, m: int = 1) -> np.ndarray:
 
 def _bessel_tail_integral(nu: float, arg0: float, X: float) -> float:
     """int_X^inf J_nu(arg0 / c) / sqrt c dc via the substitution u = 1/c."""
-    from scipy.integrate import quad
-
     val, _ = quad(
         lambda u: bessel_J(nu, arg0 * u) * u**-1.5, 0.0, 1.0 / X, epsabs=1e-12, limit=200
     )
     return val
+
+
+def _complete_tail(terms: np.ndarray, weights: np.ndarray, tail) -> tuple[float, float, float]:
+    """The sum over c >= 1 of term(c) weight(c), from the first c_max = terms.size terms.
+
+    The terms (root sums) have a stable nonzero mean, so a bare truncation
+    drifts.  The last-half empirical mean rho stands in for the missing
+    terms: at each of 12 checkpoints X, the partial sum up to X gets
+    rho * tail(X + 1/2), where tail(x) is the integral of the smooth weight
+    from x to infinity.  Returns the mean of the corrected partial sums,
+    half their spread, and rho.
+    """
+    c_max = terms.size
+    partials = np.cumsum(terms * weights)
+    rho = float(np.mean(terms[c_max // 2 :]))
+    checkpoints = np.unique(np.linspace(max(c_max // 10, C_MAX_FLOOR), c_max, 12).astype(int))
+    corrected = np.array([partials[X - 1] + rho * tail(X + 0.5) for X in checkpoints])
+    spread = 0.5 * float(np.max(corrected) - np.min(corrected))
+    return float(np.mean(corrected)), spread, rho
 
 
 def _b_series_bessel(d: int, D: int, s: float, R: np.ndarray) -> SeriesValue:
@@ -612,51 +639,32 @@ def _b_series_bessel(d: int, D: int, s: float, R: np.ndarray) -> SeriesValue:
     R holds the root sums R(1) .. R(c_max), so c_max is R.size; R does not
     depend on s, and one array serves every s.  The root sums have a stable
     nonzero mean when dD is a square, so a bare truncation drifts like
-    c_max^{3/2 - 2s}.  The last-half empirical mean rho is summed against
-    the smooth Bessel weight analytically past the truncation point, and the
-    value is the Cesaro average of the corrected partial sums over the last
-    decade of moduli.
+    c_max^{3/2 - 2s}; _complete_tail sums the mean against the Bessel
+    weight past the truncation point.
     """
     dD = d * D
-    pref = 2.0 ** (-1.5) * math.pi * dD**0.25
-    arg0 = math.pi * math.sqrt(dD)
-    c_max = R.size
-    cs = np.arange(1, c_max + 1, dtype=float)
-    weights = 2.0 * pref * bessel_J_vec(2 * s - 1, arg0 / cs) / np.sqrt(cs)
-    partials = np.cumsum(R * weights)
-    S_R = np.cumsum(R)
-    half = c_max // 2
-    rho = (S_R[-1] - S_R[half - 1]) / (c_max - half)
-    checkpoints = np.unique(
-        np.linspace(max(c_max // 10, 100), c_max, 12).astype(int)
+    pref = 2.0 ** (-0.5) * math.pi * dD**0.25
+    nu, arg0 = 2 * s - 1, math.pi * math.sqrt(dD)
+    cs = np.arange(1, R.size + 1, dtype=float)
+    weights = pref * bessel_J_vec(nu, arg0 / cs) / np.sqrt(cs)
+    value, spread, rho = _complete_tail(
+        R, weights, lambda x: pref * _bessel_tail_integral(nu, arg0, x)
     )
-    corrected = np.array(
-        [
-            partials[X - 1] + 2.0 * pref * rho * _bessel_tail_integral(2 * s - 1, arg0, X + 0.5)
-            for X in checkpoints
-        ]
-    )
-    value = float(np.mean(corrected))
-    spread = 0.5 * float(np.max(corrected) - np.min(corrected))
-    return SeriesValue(
-        value, c_max, s, spread, {"case": "bessel", "rho": float(rho)}
-    )
+    return SeriesValue(value, R.size, s, spread, {"case": "bessel", "rho": rho})
 
 
 def b_series(d: int, D: int, s: float, c_max: int) -> SeriesValue:
     """Truncated c-series for b(d, D, s), with smoothing and tail handling.
 
     Three cases by the sign pattern of (d, D): the J-Bessel series for
-    dD > 0 (Cesaro-smoothed over the last decade of moduli), and the
+    dD > 0 (its tail completed by _complete_tail), and the
     degenerate power series otherwise.  For the degenerate cases the
     closed-form Dirichlet series of K+ gives the full sum, so the reported
     value is exact up to floating error.
     """
     if s <= 0.75:
         raise ValueError(f"b_series requires s > 3/4, got {s}")
-    if c_max < 100:
-        raise ValueError(f"c_max must be at least 100, got {c_max}")
-    _check_c_max(c_max)
+    _check_series_c_max(c_max)
     dD = d * D
     if dD > 0:
         return _b_series_bessel(d, D, s, _root_sum_array(d, D, c_max))
@@ -683,7 +691,6 @@ def _delta_grid(deltas: tuple[float, ...], c_max_by_delta: dict | None) -> list[
     c_max used at least 100 and within the sieve.
     """
     cmaxes = c_max_by_delta or CMAX_BY_DELTA
-    _check_c_max(max(cmaxes.values()))
     for delta in deltas:
         if not 0 < delta < math.inf:
             raise ValueError(f"deltas must be positive and finite, got {delta}")
@@ -693,8 +700,7 @@ def _delta_grid(deltas: tuple[float, ...], c_max_by_delta: dict | None) -> list[
         )
     grid = [(delta, cmaxes.get(delta, max(cmaxes.values()))) for delta in deltas]
     for delta, cm in grid:
-        if cm < 100:
-            raise ValueError(f"c_max must be at least 100, got {cm} for delta {delta}")
+        _check_series_c_max(cm, f" for delta {delta}")
     return grid
 
 
@@ -755,33 +761,25 @@ def prop1_rhs(d: int, D: int, m: int, s: float, c_max: int = 10_000) -> SeriesVa
     if s <= 1:
         raise ValueError(f"prop1_rhs requires s > 1, got {s}")
     _check_s_m_args(m, d, D)
-    _check_c_max(c_max)
+    _check_series_c_max(c_max)
     dD = d * D
     sm = _root_sum_array(d, D, c_max, m=m)  # S_m(d, D; 4c) for every c
     cs = np.arange(1, c_max + 1, dtype=float)
     if m > 0:
         pref = math.pi / math.sqrt(2) * math.sqrt(m) * dD**0.25
-        arg0 = math.pi * m * math.sqrt(dD)
-        weights = pref * bessel_J_vec(s - 0.5, arg0 / cs) / np.sqrt(cs)
+        nu, arg0 = s - 0.5, math.pi * m * math.sqrt(dD)
+        weights = pref * bessel_J_vec(nu, arg0 / cs) / np.sqrt(cs)
+
+        def tail(x):
+            return pref * _bessel_tail_integral(nu, arg0, x)
     else:
         pref = 2.0 ** (-s - 1) * dD ** (s / 2)
         weights = pref * cs ** (-s)
-    partials = np.cumsum(sm * weights)
-    # the root sums have a stable mean; complete the truncated tail with it
-    S_sm = np.cumsum(sm)
-    half = c_max // 2
-    rho = (S_sm[-1] - S_sm[half - 1]) / (c_max - half)
-    checkpoints = np.unique(np.linspace(max(c_max // 10, 100), c_max, 12).astype(int))
-    if m > 0:
-        tails = np.array(
-            [pref * rho * _bessel_tail_integral(s - 0.5, arg0, X + 0.5) for X in checkpoints]
-        )
-    else:
-        tails = pref * rho * (checkpoints + 0.5) ** (1 - s) / (s - 1)
-    corrected = partials[checkpoints - 1] + tails
-    value = float(np.mean(corrected))
-    spread = 0.5 * float(np.max(corrected) - np.min(corrected))
-    return SeriesValue(value, c_max, s, spread, {"m": m, "rho": float(rho)})
+
+        def tail(x):
+            return pref * x ** (1 - s) / (s - 1)
+    value, spread, rho = _complete_tail(sm, weights, tail)
+    return SeriesValue(value, c_max, s, spread, {"m": m, "rho": rho})
 
 
 def thm2_rhs(

@@ -57,11 +57,24 @@ class TestEps:
 
 
 class TestPell:
-    @pytest.mark.parametrize("d,t,u", [(5, 3, 1), (8, 6, 2), (12, 4, 1), (13, 11, 3)])
+    @pytest.mark.parametrize(
+        "d,t,u", [(5, 3, 1), (8, 6, 2), (12, 4, 1), (13, 11, 3), (97, 125619266, 12754704)]
+    )
     def test_fundamental_solutions(self, d, t, u):
         sol = pell_fundamental(d)
         assert (sol.t, sol.u) == (t, u)
         assert sol.t * sol.t - d * sol.u * sol.u == 4
+
+    def test_matches_brute_force_search(self):
+        # the smallest u > 0 with d u^2 + 4 a square; u <= 534,000 below 97
+        for d in range(5, 97):
+            if d % 4 not in (0, 1) or math.isqrt(d) ** 2 == d:
+                continue
+            u = 1
+            while math.isqrt(d * u * u + 4) ** 2 != d * u * u + 4:
+                u += 1
+            sol = pell_fundamental(d)
+            assert (sol.t, sol.u) == (math.isqrt(d * u * u + 4), u), d
 
     def test_unit_exceeds_one(self):
         for d in (5, 8, 12, 13, 17, 20, 21):
@@ -92,7 +105,7 @@ class TestGammaZeta:
 
     def test_zeta_matches_mpmath(self):
         for s in (1.1, 1.5, 2.0, 2.5, 3.0, 4.0):
-            assert zeta_real(s) == pytest.approx(float(mpmath.zeta(s)), rel=1e-10)
+            assert zeta_real(s) == pytest.approx(float(mpmath.zeta(s)), rel=1e-13)
 
     def test_zeta_pole_side_rejected(self):
         with pytest.raises(ValueError):
@@ -106,7 +119,7 @@ class TestGammaZeta:
                 ref = sum(
                     kronecker(D, r) * mpmath.zeta(s, mpmath.mpf(r) / q) for r in range(1, q + 1)
                 ) / mpmath.mpf(q) ** s
-                assert dirichlet_L(D, s) == pytest.approx(float(ref), rel=1e-9), (D, s)
+                assert dirichlet_L(D, s) == pytest.approx(float(ref), rel=1e-13), (D, s)
 
     def test_dirichlet_L_approaches_closed_forms_near_one(self):
         # L(1, chi_{-4}) = pi/4 and L(1, chi_5) = 2 log((1+sqrt 5)/2)/sqrt 5;
@@ -130,6 +143,29 @@ class TestBessel:
             for x in (0.1, 1.0, 5.0, 9.9, 10.1, 25.0, 80.0):
                 ref = float(mpmath.besselj(nu, x))
                 assert bessel_J(nu, x) == pytest.approx(ref, rel=1e-9, abs=1e-12), (nu, x)
+
+    # the orders of b_series, 2s - 1 at s = 3/4 + delta for delta in
+    # {0.05, 0.1, 0.2}, and of prop1_rhs, s - 1/2 at s in {1.5, 2}
+    @pytest.mark.parametrize("nu", [0.6, 0.7, 0.9, 1.0, 1.5])
+    def test_J_at_series_orders(self, nu):
+        # arguments up to 2 pi sqrt(60); near a zero of J a relative error
+        # says nothing, so those points are skipped
+        rng = np.random.default_rng(6)
+        xs = np.concatenate(
+            (np.geomspace(1e-6, 2 * math.pi * math.sqrt(60), 80),
+             rng.uniform(0.0, 2 * math.pi * math.sqrt(60), 120))
+        )
+        got = bessel_J_vec(nu, xs)
+        checked = 0
+        with mpmath.workdps(30):
+            for x, v in zip(map(float, xs), got):
+                ref = float(mpmath.besselj(nu, x))
+                if abs(ref) < 1e-2:
+                    continue
+                checked += 1
+                assert v == pytest.approx(ref, rel=1e-13, abs=0.0), (nu, x)
+                assert bessel_J(nu, x) == pytest.approx(ref, rel=1e-13, abs=0.0), (nu, x)
+        assert checked > 120
 
     def test_I_matches_mpmath(self):
         # the random block over [100, ceiling] catches a compounding

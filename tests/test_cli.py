@@ -194,9 +194,25 @@ class TestDeltaGrid:
         assert captured.out == ""
         assert f"argument --deltas: {message}" in captured.err
 
-    def test_small_cmax_is_a_domain_error(self, capsys):
-        assert dispatch(["coeff", "--d", "1", "--D", "1", "--cmax", "50"]) == EXIT_DOMAIN
-        assert "c_max must be at least 100, got 50" in capsys.readouterr().err
+
+class TestCmaxFloor:
+    # the series complete their tails from c = 100 on, so the commands
+    # that sum one refuse a smaller --cmax at parse time, as they refuse
+    # one past the ceiling; verify kloosterman / symmetry keep small ones
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeff", "--d", "1", "--D", "1", "--cmax", "50"],
+            ["verify", "prop1", "--d", "1", "--D", "1", "--m", "1", "--s", "2.0", "--cmax", "50"],
+            ["coeff", "--d", "1", "--D", "1", "--deltas", "0.2", "0.1", "0.05", "--cmax", "99"],
+            ["verify", "prop1", "--cmax", "0"],
+        ],
+    )
+    def test_small_cmax_is_a_usage_error(self, argv, capsys):
+        assert dispatch(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --cmax: must be at least 100, got {argv[-1]}" in captured.err
 
 
 class TestUsage:

@@ -300,6 +300,25 @@ class TestModulusCeiling:
             call()
 
     @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: b_series(1, 1, 1.0, 99),
+            lambda: b_series(5, 0, 1.0, 50),
+            lambda: prop1_rhs(1, 1, 1, 2.0, c_max=50),
+            lambda: prop1_rhs(1, 1, 0, 2.0, c_max=99),
+        ],
+    )
+    def test_small_c_max_rejected(self, no_work, call):
+        # the tail checkpoints start at c = 100
+        with pytest.raises(ValueError, match="c_max must be at least 100, got"):
+            call()
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_smallest_c_max_accepted(self, m):
+        sv = prop1_rhs(1, 1, m, 2.0, c_max=100)
+        assert sv.c_max == 100 and math.isfinite(sv.value) and sv.tail_estimate >= 0
+
+    @pytest.mark.parametrize(
         "kwargs, message",
         [
             ({"deltas": (0.2,)}, "at least 3 distinct deltas, got 1"),
