@@ -6,7 +6,7 @@ trace        one twisted trace Tr_{d,D}(j_m), routed by the sign and
              squareness of d*D
 coeff        the limit coefficient a(d, D) from the series side
 qforms list  class representatives for one discriminant
-jm coeffs    q-expansion of j_m (with the disk cache)
+jm coeffs    q-expansion of j_m
 verify       cross-checks: prop1, thm2, kloosterman, symmetry, values
 table        CSV of traces over a range of discriminants
 
@@ -22,78 +22,25 @@ import functools
 import io
 import json
 import math
-import os
 import sys
-import tempfile
-from pathlib import Path
 
 from . import geodesic, modfun, poincare, qform, series
 
-__all__ = ["main", "dispatch", "cache_dir", "load_jm_cached"]
+__all__ = ["main", "dispatch"]
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_VERIFY = 2
 EXIT_USAGE = 64
 
-CACHE_VERSION = 1
-CACHE_ENV = "MOCKTRACE_CACHE"
 
-
-# ----------------------------------------------------------------- cache
-
-def cache_dir() -> Path:
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "mocktrace"
-
-
-def _cache_path(m: int, N: int) -> Path:
-    return cache_dir() / f"jm_m{m}_N{N}_v{CACHE_VERSION}.txt"
-
+# ------------------------------------------------------------- formatting
 
 def format_jm(m: int, N: int, coeffs: list[float]) -> str:
-    lines = [f"# jm m={m} N={N} version={CACHE_VERSION}"]
+    lines = [f"# jm m={m} N={N} version=1"]
     lines.extend(repr(c) for c in coeffs)
     return "\n".join(lines) + "\n"
 
-
-def parse_jm(text: str, m: int, N: int) -> list[float]:
-    """Parse the cache format; raises ValueError on any corruption."""
-    lines = text.strip().splitlines()
-    if not lines or lines[0].strip() != f"# jm m={m} N={N} version={CACHE_VERSION}":
-        raise ValueError("bad header")
-    coeffs = [float(s) for s in lines[1:]]
-    expected = (m + N + 1) if m > 0 else (N + 1)
-    if len(coeffs) != expected:
-        raise ValueError(f"expected {expected} coefficients, got {len(coeffs)}")
-    return coeffs
-
-
-def load_jm_cached(m: int, N: int, use_cache: bool = True) -> modfun.QExpansion:
-    """jm_coeffs with a plain-text disk cache; corruption falls back to recompute."""
-    path = _cache_path(m, N)
-    if use_cache and path.exists():
-        try:
-            coeffs = parse_jm(path.read_text(), m, N)
-            return modfun.QExpansion(-m if m > 0 else 0, coeffs)
-        except (ValueError, OSError) as exc:
-            print(f"warning: cache file {path} unreadable ({exc}); recomputing", file=sys.stderr)
-    exp = modfun.jm_coeffs(m, N)
-    if use_cache:
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                fh.write(format_jm(m, N, exp.coeffs))
-            os.replace(tmp, path)
-        except OSError as exc:
-            print(f"warning: could not write cache {path}: {exc}", file=sys.stderr)
-    return exp
-
-
-# ------------------------------------------------------------- formatting
 
 def _result_dict(res) -> dict:
     return {
@@ -121,19 +68,19 @@ def _emit(payload: dict, fmt: str) -> None:
 
 # ------------------------------------------------------------ subcommands
 
-def _route_trace(d: int, D: int, m: int, route: str, N: int):
+def _route_trace(d: int, D: int, m: int, route: str):
     dD = d * D
     if dD < 0:
         return geodesic.trace_negative(d, D, m)
     if dD == 0:
         raise ValueError("d * D must be nonzero")
     if math.isqrt(dD) ** 2 == dD:
-        return geodesic.trace_square(d, D, m, route=route, N=N)
+        return geodesic.trace_square(d, D, m, route=route)
     return geodesic.trace_nonsquare(d, D, m)
 
 
 def _cmd_trace(args) -> int:
-    res = _route_trace(args.d, args.D, args.m, args.route, args.n)
+    res = _route_trace(args.d, args.D, args.m, args.route)
     _emit(_result_dict(res), args.format)
     return EXIT_OK
 
@@ -156,9 +103,7 @@ def _cmd_coeff(args) -> int:
         "s": sv.s,
         "params": sv.params,
     }
-    _emit(payload, args.format) if args.format == "csv" else print(
-        json.dumps(payload, sort_keys=True)
-    )
+    _emit(payload, args.format)
     return EXIT_OK
 
 
@@ -180,8 +125,7 @@ def _cmd_qforms_list(args) -> int:
 
 
 def _cmd_jm_coeffs(args) -> int:
-    exp = load_jm_cached(args.m, args.n, use_cache=not args.no_cache)
-    sys.stdout.write(format_jm(args.m, args.n, exp.coeffs))
+    sys.stdout.write(format_jm(args.m, args.n, modfun.jm_coeffs(args.m, args.n).coeffs))
     return EXIT_OK
 
 
@@ -273,7 +217,7 @@ def _cmd_table(args) -> int:
         if d % 4 not in (0, 1) or d * args.D == 0:
             writer.writerow([d, args.D, args.m, "", "skipped", "", "{}"])
             continue
-        res = _route_trace(d, args.D, args.m, "vertical", modfun.N_DEFAULT)
+        res = _route_trace(d, args.D, args.m, "vertical")
         writer.writerow(
             [
                 res.d,
@@ -290,23 +234,21 @@ def _cmd_table(args) -> int:
 
 # --------------------------------------------------------------- dispatch
 
-def _cmax(text: str) -> int:
-    """A --cmax value: every modulus 4c must stay within series.MODULUS_LIMIT."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value > series.C_MAX_LIMIT:
-        raise argparse.ArgumentTypeError(f"must be at most {series.C_MAX_LIMIT}, got {value}")
-    return value
+def _cmax(floor: int):
+    """A --cmax type: at least floor, and every modulus 4c within series.MODULUS_LIMIT."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value > series.C_MAX_LIMIT:
+            raise argparse.ArgumentTypeError(f"must be at most {series.C_MAX_LIMIT}, got {value}")
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
 
-def _series_cmax(text: str) -> int:
-    """A --cmax value for a series: also at least series.C_MAX_FLOOR."""
-    value = _cmax(text)
-    if value < series.C_MAX_FLOOR:
-        raise argparse.ArgumentTypeError(f"must be at least {series.C_MAX_FLOOR}, got {value}")
-    return value
+    return parse
 
 
 class _Deltas(argparse.Action):
@@ -332,7 +274,6 @@ def _build_parser() -> _Parser:
     """The argument parser, built once per process; parse_args leaves it unchanged."""
     p = _Parser(prog="mocktrace", description="Traces of modular functions over quadratic forms")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--no-cache", action="store_true", help="disable the q-expansion disk cache")
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("trace", help="one twisted trace")
@@ -340,14 +281,13 @@ def _build_parser() -> _Parser:
     t.add_argument("--D", type=int, required=True)
     t.add_argument("--m", type=int, required=True)
     t.add_argument("--route", choices=["vertical", "semicircle"], default="vertical")
-    t.add_argument("--n", type=int, default=modfun.N_DEFAULT, help="q-expansion truncation")
     t.set_defaults(func=_cmd_trace)
 
     c = sub.add_parser("coeff", help="series-side coefficient a(d, D)")
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--D", type=int, required=True)
     c.add_argument("--deltas", type=float, nargs="+", action=_Deltas)
-    c.add_argument("--cmax", type=_series_cmax)
+    c.add_argument("--cmax", type=_cmax(series.C_MAX_FLOOR))
     c.set_defaults(func=_cmd_coeff)
 
     q = sub.add_parser("qforms", help="quadratic form utilities")
@@ -372,7 +312,7 @@ def _build_parser() -> _Parser:
     vp.add_argument("--m", type=int, default=0)
     vp.add_argument("--s", type=float, default=2.0)
     vp.add_argument("--bound", type=int, default=None)
-    vp.add_argument("--cmax", type=_series_cmax, default=10_000)
+    vp.add_argument("--cmax", type=_cmax(series.C_MAX_FLOOR), default=10_000)
     vp.add_argument("--tol", type=float, default=None)
     vp.set_defaults(func=_cmd_verify_prop1)
 
@@ -384,11 +324,11 @@ def _build_parser() -> _Parser:
     vt.set_defaults(func=_cmd_verify_thm2)
 
     vk = vs.add_parser("kloosterman")
-    vk.add_argument("--cmax", type=_cmax, default=50)
+    vk.add_argument("--cmax", type=_cmax(1), default=50)
     vk.set_defaults(func=_cmd_verify_kloosterman)
 
     vy = vs.add_parser("symmetry")
-    vy.add_argument("--cmax", type=_cmax, default=100)
+    vy.add_argument("--cmax", type=_cmax(1), default=100)
     vy.set_defaults(func=_cmd_verify_symmetry)
 
     vv = vs.add_parser("values")

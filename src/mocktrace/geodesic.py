@@ -16,7 +16,7 @@ from typing import Callable
 from scipy.integrate import quad
 
 from .arith import pell_fundamental
-from .modfun import eval_jm, eval_jmQ
+from .modfun import N_DEFAULT, eval_jm, eval_jmQ
 from .qform import (
     QuadForm,
     UnimodularMatrix,
@@ -50,6 +50,10 @@ THETA_EPS = 1e-6
 T_VERTICAL = 30.0
 
 IMAG_RESIDUE_TOL = 1e-8
+
+# CM sums have no quadrature error, only rounding in j_m(tau_Q), so their
+# imaginary residue is bounded relative to the summed magnitudes.
+CM_IMAG_RESIDUE_REL = 1e-12
 
 
 @dataclass
@@ -169,14 +173,18 @@ def trace_negative(d: int, D: int, m: int) -> TraceResult:
     _check_twist(d, D)
     cl = classes_negative(d * D)
     total = 0.0 + 0.0j
+    scale = 0.0
     for Q, order in zip(cl.reps, cl.stab_orders):
         ch = chi_D(D, Q)
         if ch == 0:
             continue
         tau = complex(-Q.b, math.sqrt(-Q.disc)) / (2 * Q.a)
-        total += ch / order * eval_jm(m, tau)
+        term = ch / order * eval_jm(m, tau)
+        total += term
+        scale += abs(term)
     total /= math.sqrt(D)
-    if abs(total.imag) > IMAG_RESIDUE_TOL:
+    scale /= math.sqrt(D)
+    if abs(total.imag) > CM_IMAG_RESIDUE_REL * max(1.0, scale):
         raise ArithmeticError(f"imaginary residue {total.imag} in trace_negative({d},{D},{m})")
     return TraceResult(
         value=total.real,
@@ -221,12 +229,12 @@ def trace_nonsquare(d: int, D: int, m: int) -> TraceResult:
     )
 
 
-def _cusp_integral_semicircle(m: int, Q: QuadForm, N: int) -> complex:
+def _cusp_integral_semicircle(m: int, Q: QuadForm) -> complex:
     """Integral of j_{m,Q} dtau_Q over the semicircle, theta in (eps, pi - eps)."""
     cyc = geodesic_cycle(Q)
     th0, th1 = cyc.theta_range
     total, f = _quad_complex(
-        lambda theta: eval_jmQ(m, Q, cyc.point(theta), N=N) / math.sin(theta), th0, th1
+        lambda theta: eval_jmQ(m, Q, cyc.point(theta)) / math.sin(theta), th0, th1
     )
     # rectangle-rule estimate for the two clipped endpoint slivers; the
     # integrand extends continuously to the cusps, so this leaves O(eps^2)
@@ -234,10 +242,10 @@ def _cusp_integral_semicircle(m: int, Q: QuadForm, N: int) -> complex:
     return cyc.orientation * (total + sliver)
 
 
-def _cusp_integral_vertical(m: int, Q: QuadForm, N: int) -> complex:
+def _cusp_integral_vertical(m: int, Q: QuadForm) -> complex:
     """Integral of j_{m,Q}(iy) dy/y over y = e^t, |t| < T."""
     total, _ = _quad_complex(
-        lambda t: eval_jmQ(m, Q, complex(0.0, math.exp(t)), N=N), -T_VERTICAL, T_VERTICAL
+        lambda t: eval_jmQ(m, Q, complex(0.0, math.exp(t))), -T_VERTICAL, T_VERTICAL
     )
     return total
 
@@ -249,7 +257,7 @@ def _semicircle_equivalent(Q: QuadForm) -> QuadForm:
     return apply(g, Q)
 
 
-def trace_square(d: int, D: int, m: int, route: str = "vertical", N: int = 48) -> TraceResult:
+def trace_square(d: int, D: int, m: int, route: str = "vertical") -> TraceResult:
     """Cusp-to-cusp trace (1/2pi) sum chi_D(Q) int j_{m,Q} dtau/Q for square dD.
 
     The a = 0 representative integrates along the vertical line by default;
@@ -276,11 +284,11 @@ def trace_square(d: int, D: int, m: int, route: str = "vertical", N: int = 48) -
         if Q.a == 0:
             if route == "semicircle":
                 Qs = _semicircle_equivalent(Q)
-                contrib = _cusp_integral_semicircle(m, Qs, N)
+                contrib = _cusp_integral_semicircle(m, Qs)
             else:
-                contrib = _cusp_integral_vertical(m, Q, N)
+                contrib = _cusp_integral_vertical(m, Q)
         else:
-            contrib = _cusp_integral_semicircle(m, Q, N)
+            contrib = _cusp_integral_semicircle(m, Q)
         total += ch * contrib
     # dtau_Q = sqrt(dD) dtau / Q(tau,1): divide by sqrt(dD) once, here
     total /= 2 * math.pi * b
@@ -299,5 +307,5 @@ def trace_square(d: int, D: int, m: int, route: str = "vertical", N: int = 48) -
         m=m,
         method="cusp_cycle",
         err_estimate=err,
-        params={"classes": len(cl.reps), "route": route, "N": N},
+        params={"classes": len(cl.reps), "route": route, "N": N_DEFAULT},
     )

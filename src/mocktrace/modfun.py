@@ -261,11 +261,9 @@ def _cusp_gammas(Q: QuadForm) -> tuple[UnimodularMatrix, ...]:
     return tuple(cusp_matrix(p, q).gamma for (p, q) in Q.roots())
 
 
-def _cusp_term(m: int, w: complex, phase_sign: int) -> complex:
-    """2 sinh(2 pi m Im w) e(phase_sign * m * Re w)."""
-    return 2.0 * math.sinh(2.0 * math.pi * m * w.imag) * cmath.exp(
-        2j * math.pi * phase_sign * m * w.real
-    )
+def _cusp_term(m: int, w: complex) -> complex:
+    """2 sinh(2 pi m Im w) e(-m Re w)."""
+    return 2.0 * math.sinh(2.0 * math.pi * m * w.imag) * cmath.exp(-2j * math.pi * m * w.real)
 
 
 def eval_jmQ(
@@ -274,12 +272,11 @@ def eval_jmQ(
     tau: complex,
     N: int = N_DEFAULT,
     v_star: float = V_STAR,
-    phase_sign: int = -1,
 ) -> complex:
     """The cusp-corrected function j_{m,Q} at tau, for Q of square discriminant.
 
     Subtracts, for each root alpha of Q, the term
-    2 sinh(2 pi m Im(gamma_alpha tau)) e(phase_sign * m * Re(gamma_alpha tau)).
+    2 sinh(2 pi m Im(gamma_alpha tau)) e(-m Re(gamma_alpha tau)).
     When Im(gamma_alpha tau) > v_star the difference is formed analytically:
     with w = gamma_alpha tau, Gamma-invariance gives j_m(tau) = j_m(w), and
     j_m(w) - 2 sinh(2 pi m Im w) e(-m Re w) = e(-m conj(w)) + sum_{n>0} c_m(n) e(n w),
@@ -294,7 +291,7 @@ def eval_jmQ(
         raise ValueError(f"tau must be in the upper half-plane, got {tau}")
     ws = [g.moebius(tau) for g in _cusp_gammas(Q)]
     vmax = max(w.imag for w in ws)
-    if phase_sign == -1 and vmax > v_star:
+    if vmax > v_star:
         i_big = max(range(len(ws)), key=lambda i: ws[i].imag)
         w = ws[i_big]
         coeffs = _jm_floats(m, N)  # coeffs[n + m] = c_m(n)
@@ -306,9 +303,9 @@ def eval_jmQ(
             total += coeffs[n + m] * qn
         for i, wi in enumerate(ws):
             if i != i_big:
-                total -= _cusp_term(m, wi, phase_sign)
+                total -= _cusp_term(m, wi)
         return total
     total = eval_jm(m, tau, N)
     for w in ws:
-        total -= _cusp_term(m, w, phase_sign)
+        total -= _cusp_term(m, w)
     return total

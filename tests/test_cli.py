@@ -1,4 +1,4 @@
-"""CLI dispatch, serialization, exit codes, and the q-expansion disk cache."""
+"""CLI dispatch, serialization and exit codes; the CLI keeps no state on disk."""
 
 import json
 import os
@@ -9,78 +9,81 @@ from pathlib import Path
 import pytest
 
 import mocktrace
+from mocktrace import modfun, series
 from mocktrace.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
     dispatch,
-    format_jm,
-    parse_jm,
 )
-from mocktrace.modfun import jm_coeffs
 
 
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("MOCKTRACE_CACHE", str(tmp_path / "cache"))
-    return tmp_path / "cache"
+def _fresh_process(argv, **env_overrides):
+    """(exit code, stdout, stderr) of `python -m mocktrace.cli argv` in a new interpreter."""
+    env = dict(os.environ, **env_overrides)
+    src = str(Path(mocktrace.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mocktrace.cli", *argv],
+        capture_output=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
 
 
-class TestCacheFormat:
-    def test_round_trip(self):
-        exp = jm_coeffs(2, 12)
-        text = format_jm(2, 12, exp.coeffs)
-        assert text.startswith("# jm m=2 N=12 version=1\n")
-        assert parse_jm(text, 2, 12) == exp.coeffs
-
-    def test_corruption_detected(self):
-        exp = jm_coeffs(1, 4)
-        text = format_jm(1, 4, exp.coeffs)
-        with pytest.raises(ValueError):
-            parse_jm(text.replace("m=1", "m=3"), 1, 4)
-        with pytest.raises(ValueError):
-            parse_jm(text + "garbage\n", 1, 4)
+def _jm_lines(out: str, m: int, N: int) -> list[float]:
+    """The coefficients printed by `jm coeffs`, after checking the header line."""
+    header, *body = out.splitlines()
+    assert header == f"# jm m={m} N={N} version=1"
+    return [float(line) for line in body]
 
 
 class TestJmCoeffsCommand:
-    def test_output_and_cache_file(self, isolated_cache, capsys):
+    def test_output_and_cache_file(self, tmp_path, monkeypatch, capsys):
+        # the output is the exact expansion, and no cache file is written
+        monkeypatch.setenv("HOME", str(tmp_path))
         assert dispatch(["jm", "coeffs", "--m", "1", "--n", "6"]) == EXIT_OK
-        out = capsys.readouterr().out
-        coeffs = parse_jm(out, 1, 6)
+        coeffs = _jm_lines(capsys.readouterr().out, 1, 6)
+        assert len(coeffs) == 8
         assert coeffs[0] == 1.0
         assert coeffs[2] == 196884.0
-        files = list(isolated_cache.glob("jm_*.txt"))
-        assert len(files) == 1
-
-    def test_no_cache_flag(self, isolated_cache, capsys):
-        assert dispatch(["--no-cache", "jm", "coeffs", "--m", "1", "--n", "6"]) == EXIT_OK
-        assert not isolated_cache.exists() or not list(isolated_cache.glob("jm_*.txt"))
-
-    def test_corrupt_cache_recovers_with_warning(self, isolated_cache, capsys):
-        dispatch(["jm", "coeffs", "--m", "1", "--n", "6"])
-        good = capsys.readouterr().out
-        path = next(isolated_cache.glob("jm_*.txt"))
-        path.write_text("# jm m=1 N=6 version=1\nnot-a-number\n")
-        assert dispatch(["jm", "coeffs", "--m", "1", "--n", "6"]) == EXIT_OK
-        captured = capsys.readouterr()
-        assert captured.out == good
-        assert "warning" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_deepest_advertised_expansion(self, capsys):
         # m = 2, N = 64 needs j_1 through q^65 inside the Faber recursion
         assert dispatch(["jm", "coeffs", "--m", "2", "--n", "64"]) == EXIT_OK
-        coeffs = parse_jm(capsys.readouterr().out, 2, 64)
+        coeffs = _jm_lines(capsys.readouterr().out, 2, 64)
+        assert len(coeffs) == 67
         assert coeffs[3] == 42987520.0  # c_2(1) = 2 c(2)
 
-    def test_idempotent_across_cache_deletion(self, isolated_cache, capsys):
+    def test_idempotent_across_cache_deletion(self, capsys):
+        # the only cache left is modfun's in-process memo; emptying it
+        # must not change a byte
         dispatch(["jm", "coeffs", "--m", "3", "--n", "8"])
         first = capsys.readouterr().out
-        for f in isolated_cache.glob("jm_*.txt"):
-            f.unlink()
+        modfun._jm_floats.cache_clear()
         dispatch(["jm", "coeffs", "--m", "3", "--n", "8"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestStateless:
+    def test_fresh_process_writes_no_files(self, tmp_path):
+        home, cache = tmp_path / "home", tmp_path / "cache"
+        home.mkdir()
+        cache.mkdir()
+        env = {"HOME": str(home), "MOCKTRACE_CACHE": str(cache)}
+        runs = [
+            (["jm", "coeffs", "--m", "2", "--n", "16"], EXIT_OK),
+            (["trace", "--d", "-7", "--D", "1", "--m", "1"], EXIT_OK),
+            (["--no-cache", "jm", "coeffs", "--m", "2", "--n", "16"], EXIT_USAGE),
+            (["trace", "--d", "4", "--D", "1", "--m", "1", "--n", "4"], EXIT_USAGE),
+        ]
+        for argv, code in runs:
+            rc, _, err = _fresh_process(argv, **env)
+            assert rc == code, (argv, err)
+        assert list(home.iterdir()) == []
+        assert list(cache.iterdir()) == []
 
 
 class TestTraceCommand:
@@ -198,7 +201,7 @@ class TestDeltaGrid:
 class TestCmaxFloor:
     # the series complete their tails from c = 100 on, so the commands
     # that sum one refuse a smaller --cmax at parse time, as they refuse
-    # one past the ceiling; verify kloosterman / symmetry keep small ones
+    # one past the ceiling; verify kloosterman / symmetry need one modulus
     @pytest.mark.parametrize(
         "argv",
         [
@@ -206,13 +209,16 @@ class TestCmaxFloor:
             ["verify", "prop1", "--d", "1", "--D", "1", "--m", "1", "--s", "2.0", "--cmax", "50"],
             ["coeff", "--d", "1", "--D", "1", "--deltas", "0.2", "0.1", "0.05", "--cmax", "99"],
             ["verify", "prop1", "--cmax", "0"],
+            ["verify", "kloosterman", "--cmax", "0"],
+            ["verify", "symmetry", "--cmax", "-3"],
         ],
     )
     def test_small_cmax_is_a_usage_error(self, argv, capsys):
+        floor = 1 if argv[1] in ("kloosterman", "symmetry") else series.C_MAX_FLOOR
         assert dispatch(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"argument --cmax: must be at least 100, got {argv[-1]}" in captured.err
+        assert f"argument --cmax: must be at least {floor}, got {argv[-1]}" in captured.err
 
 
 class TestUsage:
@@ -233,19 +239,9 @@ class TestParserReuse:
         (["jm", "coeffs", "--m", "2", "--n", "8"], EXIT_OK),
     ]
 
-    def _fresh_process(self, argv, cache):
-        env = dict(os.environ, MOCKTRACE_CACHE=str(cache))
-        src = str(Path(mocktrace.__file__).parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mocktrace.cli", *argv],
-            capture_output=True, env=env, timeout=120,
-        )
-        return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
-
-    def test_same_bytes_as_fresh_processes(self, tmp_path, capsys):
+    def test_same_bytes_as_fresh_processes(self, capsys):
         for argv, code in self.SEQUENCE:
-            want = self._fresh_process(argv, tmp_path / "fresh" / argv[-1])
+            want = _fresh_process(argv)
             assert want[0] == code, want
             for _ in range(2):
                 rc = dispatch(argv)

@@ -103,6 +103,12 @@ class TestTraceNegative:
         with pytest.raises(ValueError):
             trace_negative(-5, 1, 1)  # not 0, 1 mod 4
 
+    def test_large_value_passes_residue_check(self):
+        # j_3 = j^3 - 2232 j^2 + 1069956 j - 36866976 at j(tau_7) = -3375;
+        # the rounding residue in Im is far above 1e-8 in absolute terms
+        res = trace_negative(-7, 1, 3)
+        assert res.value == pytest.approx(-67515202851.0, abs=res.err_estimate)
+
 
 class TestTraceNonsquare:
     def test_frozen_values(self):
@@ -115,6 +121,12 @@ class TestTraceNonsquare:
     def test_square_redirected(self):
         with pytest.raises(ValueError):
             trace_nonsquare(4, 1, 1)
+
+    def test_residue_check_stays_absolute(self):
+        # a genuine quadrature failure, not rounding noise: the relative
+        # check of the CM sums must not spread to the quadrature traces
+        with pytest.raises(ArithmeticError, match="imaginary residue"):
+            trace_nonsquare(41, 1, 1)
 
 
 class TestTraceSquare:

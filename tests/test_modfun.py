@@ -170,7 +170,7 @@ def _eval_jmQ_public(m, Q, tau, N):
     if max(w.imag for w in ws) <= V_STAR:
         total = _eval_jm_public(m, tau, N)
         for w in ws:
-            total -= _cusp_term(m, w, -1)
+            total -= _cusp_term(m, w)
         return total
     i_big = max(range(len(ws)), key=lambda i: ws[i].imag)
     w = ws[i_big]
@@ -183,7 +183,7 @@ def _eval_jmQ_public(m, Q, tau, N):
         total += exp.coeff(n) * qn
     for i, wi in enumerate(ws):
         if i != i_big:
-            total -= _cusp_term(m, wi, -1)
+            total -= _cusp_term(m, wi)
     return total
 
 
