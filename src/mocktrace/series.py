@@ -2,18 +2,20 @@
 
 kloosterman_plus evaluates K+(d, D; 4c) either directly from its definition
 (a sum over odd residues mod 4c, exact integer phase arithmetic) or through
-a Salie-type closed form over the square roots of dD mod 4c, which brings
-the cost per modulus down from O(c) to O(#roots).  The closed form is
-exercised against the direct sum across the test grid.
+a Salie-type closed form, the root sum R(c) over the square roots b of dD
+mod 4c weighted by the genus character chi_D([c, b, *]).  The defining sum
+(_kp_direct) is the reference the closed form is tested against.
 
-The series need the root sums R(c) for every c <= c_max at once.
-_root_sum_array assembles them in numpy, in blocks of ROOT_SUM_BLOCK moduli:
-every 4c is factored through the smallest-prime-factor sieve, and by CRT
-R(c) is (D/c) times the product, over the prime powers q || 4c, of local
-sums over the square roots of dD mod q.  The local roots are found once per
-prime power and per call.  The scalar per-modulus code (_root_sum,
-sqrts_mod) serves single moduli and is the oracle for the batch.  All moduli
-4c must lie inside the sieve: c_max <= C_MAX_LIMIT.
+_root_sum_array is the one route to the root sums: it builds R(c) for every
+c <= c_max in numpy, in blocks of ROOT_SUM_BLOCK moduli, and single moduli
+are read off the same array.  Every 4c is factored through the
+smallest-prime-factor sieve, and by CRT R(c) is a sign times the product,
+over the prime powers q || 4c, of local sums over the square roots of dD
+mod q.  chi_D is the product of the Kronecker characters of the prime
+discriminants of D, and each of those splits into the sign on c and a
+weight on the local roots at its own prime.  The local roots are found
+once per prime power and per call.  All moduli 4c must lie inside the
+sieve: c_max <= C_MAX_LIMIT.
 
 On top of K+ sit the series b(d, D, s), the extrapolated coefficients
 a(d, D), the spectral sides of the trace identity, and the divisor-sum
@@ -41,11 +43,9 @@ from .arith import (
     kronecker,
     zeta_real,
 )
-from .qform import QuadForm, chi_D
 
 __all__ = [
     "SeriesValue",
-    "sqrts_mod",
     "kloosterman_plus",
     "s_m_sum",
     "b_series",
@@ -77,7 +77,7 @@ class SeriesValue:
 
 
 # ----------------------------------------------------------------------
-# square roots modulo M via SPF sieve + Tonelli-Shanks + Hensel + CRT
+# square roots modulo prime powers via Tonelli-Shanks + Hensel
 # ----------------------------------------------------------------------
 
 _spf = None
@@ -204,34 +204,6 @@ def _sqrt_mod_prime_power(a: int, p: int, k: int) -> list[int]:
     return sorted(out)
 
 
-def sqrts_mod(a: int, M: int) -> list[int]:
-    """All x mod M with x^2 = a (mod M), in increasing order."""
-    if M < 1:
-        raise ValueError(f"modulus must be positive, got {M}")
-    if M == 1:
-        return [0]
-    roots = [0]
-    mod = 1
-    for p, k in factorize(M):
-        q = p**k
-        local = _sqrt_mod_prime_power(a, p, k)
-        if not local:
-            return []
-        inv_mod = pow(mod, -1, q) if mod > 1 else 0
-        new = []
-        for x in roots:
-            for y in local:
-                if mod == 1:
-                    new.append(y)
-                else:
-                    # CRT: z = x mod mod, z = y mod q
-                    t = ((y - x) * inv_mod) % q
-                    new.append(x + mod * t)
-        roots = new
-        mod *= q
-    return sorted(r % M for r in roots)
-
-
 # ----------------------------------------------------------------------
 # K+(d, D; 4c)
 # ----------------------------------------------------------------------
@@ -315,23 +287,6 @@ def _euler_phi(n: int) -> int:
     return out
 
 
-def _chi_factor(D: int, c: int, b: int, dD: int) -> int:
-    if D == 1:
-        return 1
-    return chi_D(D, QuadForm(c, b, (b * b - dD) // (4 * c)))
-
-
-def _root_sum(d: int, D: int, c: int, m: int = 1) -> float:
-    """sum over b mod 4c with b^2 = dD of chi_D([c,b,*]) e(mb/2c)."""
-    dD = d * D
-    total = 0.0 + 0.0j
-    for b in sqrts_mod(dD % (4 * c), 4 * c):
-        total += _chi_factor(D, c, b, dD) * cmath.exp(1j * math.pi * m * b / c)
-    if abs(total.imag) > KP_IMAG_TOL * max(1.0, abs(total.real)):
-        raise ArithmeticError(f"root sum ({d},{D},{c},{m}) imaginary residue {total.imag}")
-    return total.real
-
-
 def _check_modulus(modulus: int) -> None:
     if modulus % 4 != 0 or modulus <= 0:
         raise ValueError(f"modulus must be a positive multiple of 4, got {modulus}")
@@ -372,11 +327,8 @@ def kloosterman_plus(d: int, D: int, modulus: int, method: str = "auto") -> floa
         if n > 0 and n % 4 in (0, 1):
             return 4.0 * math.sqrt(c) * _T_zero_case(n, c)
         return _kp_direct(d, D, c)
-    if (d * D) % 4 in (0, 1):
-        if D == 1 or is_fundamental_discriminant(D):
-            return 2.0 * math.sqrt(c) * _root_sum(d, D, c)
-        if d == 1 or is_fundamental_discriminant(d):
-            return 2.0 * math.sqrt(c) * _root_sum(D, d, c)
+    if (d * D) % 4 in (0, 1) and any(map(is_fundamental_discriminant, (d, D))):
+        return 2.0 * math.sqrt(c) * float(_root_sum_array(d, D, c)[c - 1])
     return _kp_direct(d, D, c)
 
 
@@ -396,7 +348,8 @@ def s_m_sum(m: int, d: int, D: int, modulus: int) -> float:
     """The exponential sum S_m(d, D; 4c) over square roots of dD mod 4c."""
     _check_modulus(modulus)
     _check_s_m_args(m, d, D)
-    return _root_sum(d, D, modulus // 4, m=m)
+    c = modulus // 4
+    return float(_root_sum_array(d, D, c, m)[c - 1])
 
 
 # ----------------------------------------------------------------------
@@ -433,24 +386,25 @@ def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     return out
 
 
-def _legendre(x: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise Legendre symbol (x/p) for an odd prime p, by Euler's criterion."""
-    e = _powmod(x % p, np.full_like(x, (p - 1) // 2), p)
-    return np.where(e > 1, -1, e)
+def _prime_discriminants(D: int) -> list[int]:
+    """The prime discriminants whose product is the fundamental discriminant D.
 
-
-def _odd_primes(n: int) -> list[int]:
-    """The odd primes dividing n != 0, by trial division."""
-    n = abs(n)
-    n >>= (n & -n).bit_length() - 1
+    They are p* = +-p = 1 mod 4 for each odd p | D and, for even D, its
+    2-part -4, 8 or -8; D = 1 has none.  D is factored by trial division,
+    so it is not bounded by the sieve.
+    """
+    n = abs(D)
+    n >>= (n & -n).bit_length() - 1  # the odd part
     out, p = [], 3
     while p * p <= n:
         if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
+            out.append(p if p % 4 == 1 else -p)
+            n //= p
         p += 2
-    return out + [n] if n > 1 else out
+    if n > 1:
+        out.append(n if n % 4 == 1 else -n)
+    two = D // math.prod(out)
+    return out + [two] if two != 1 else out
 
 
 def _local_root_table(a: int, c_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -476,47 +430,6 @@ def _local_root_table(a: int, c_max: int) -> tuple[np.ndarray, np.ndarray, np.nd
     np.cumsum([len(r) for r in local], out=start[1:])
     roots = np.fromiter((r for rs in local for r in rs), dtype=np.int64, count=int(start[-1]))
     return qs, start, roots
-
-
-def _genus_root_weights(qs, start, roots, a: int, primes: list[int]) -> np.ndarray | None:
-    """The b-part of chi_D at each odd p | D: (((r^2 - a)/q) / p) for a root r mod q = p^k.
-
-    Roots modulo every other prime power weigh 1.  None when D has no odd
-    prime factor, so that D = 1 pays nothing.
-    """
-    if not primes:
-        return None
-    q = np.repeat(qs, np.diff(start))  # the modulus of each root
-    weights = np.ones(roots.size)
-    for p in primes:
-        at = q % p == 0
-        weights[at] = _legendre((roots[at] * roots[at] - a) // q[at], p)
-    return weights
-
-
-def _genus_sign(c: np.ndarray, D: int, primes: list[int]) -> np.ndarray:
-    """The c-part of chi_D([c, b, *]) for moduli with gcd(c, D) > 1; 0 where 2 | gcd(c, D).
-
-    chi_D is the product of its local characters, and each may be read off
-    any value the form represents prime to its own prime.  At an odd p | D
-    that is c itself when p does not divide c, and (b^2 - dD)/4c when it
-    does; either way the c-part is ((c / p^v) / p) with p^v || c, and the
-    b-part is the root weight of _genus_root_weights.  For even D and odd c
-    the 2-part D_2 of D contributes (D_2 / c).  The local factor at 2 for
-    even c and even D is not worked out here: those moduli get 0, and the
-    caller sums them through the scalar _root_sum.
-    """
-    sign = np.ones_like(c)
-    if D % 2 == 0:
-        odd = abs(D) >> ((abs(D) & -abs(D)).bit_length() - 1)
-        D2 = D // (odd if odd % 4 == 1 else -odd)
-        sign = np.array([kronecker(D2, r) for r in range(8)])[c % 8]
-    for p in primes:
-        cp = c.copy()
-        while (div := cp % p == 0).any():
-            cp[div] //= p
-        sign *= _legendre(cp, p)
-    return sign
 
 
 def _local_sums(M, q, p, m, table) -> np.ndarray:
@@ -564,44 +477,54 @@ def _root_sum_block(c: np.ndarray, m: int, table) -> np.ndarray:
 def _root_sum_array(d: int, D: int, c_max: int, m: int = 1) -> np.ndarray:
     """R(c) = sum over b mod 4c with b^2 = dD of chi_D([c,b,*]) e(mb/2c), c = 1 .. c_max.
 
-    For m = 1 this is K+(d, D; 4c) / (2 sqrt c).  The moduli are processed
-    in blocks of ROOT_SUM_BLOCK.  Within a block, R(c) is (D/c) times the
-    CRT product of the local root sums (_root_sum_block): chi_D of a form
-    [c, b, *] with gcd(c, D) = 1 is (D/c), since the form represents c.
-    When an odd prime of D divides c, chi_D splits into a sign that depends
-    on c (_genus_sign) and a weight on each local root
-    (_genus_root_weights), so those moduli stay in the batch too.  Only the
-    moduli with 2 | gcd(c, D) weigh each root by its own chi_D through the
-    scalar _root_sum.  The table of local roots lives for one call only.
-    The returned array is shared through the cache and read-only.
+    For m = 1 this is K+(d, D; 4c) / (2 sqrt c).  D carries the character
+    when it is 1 or fundamental, else d does; with neither there is no fast
+    route.  chi_D is the product of (p*/n) over the prime discriminants p*
+    of D, each read off any value n of the form [c, b, (b^2 - dD)/4c] prime
+    to p: c itself when p does not divide c, the last coefficient when it
+    does.  That last coefficient times 4c/q is (b^2 - dD)/q, with
+    q = p^k || 4c, so every factor splits into a sign (p* / (c/p^v)),
+    p^v || c, and, where p | c (at 2: q >= 8), a weight (p* / ((r^2 - dD)/q))
+    on each square root r of dD mod q.  R(c) is the sign times the CRT
+    product of the weighted local root sums (_root_sum_block), for every
+    modulus alike.  The moduli are processed in blocks of ROOT_SUM_BLOCK,
+    and the table of local roots lives for one call only.  The returned
+    array is shared through the cache and read-only.
     """
-    if D == 1 or is_fundamental_discriminant(D):
+    if is_fundamental_discriminant(D):
         dd, DD = d, D
-    elif d == 1 or is_fundamental_discriminant(d):
+    elif is_fundamental_discriminant(d):
         dd, DD = D, d
     else:
         raise ValueError(f"no fast Kloosterman route for d={d}, D={D}")
     _check_c_max(c_max)
-    primes = _odd_primes(DD)
-    qs, start, roots = _local_root_table(dd * DD, c_max)
-    table = (qs, start, roots, _genus_root_weights(qs, start, roots, dd * DD, primes))
-    chi_table = np.array([kronecker(DD, r) for r in range(abs(DD))])
+    a = dd * DD
+    qs, start, roots = _local_root_table(a, c_max)
+    q = np.repeat(qs, np.diff(start))  # the modulus of each root
+    weights = np.ones(roots.size) if DD != 1 else None
+    c = np.arange(1, c_max + 1, dtype=np.int64)
+    sign = np.ones_like(c)
+    for ps in _prime_discriminants(DD):
+        chi = np.array([kronecker(ps, r) for r in range(abs(ps))])
+        p = abs(ps) if ps % 2 else 2
+        cp = c.copy()
+        while (div := cp % p == 0).any():
+            cp[div] //= p
+        sign *= chi[cp % chi.size]
+        at = q % (8 if p == 2 else p) == 0  # the roots mod q = p^k with p | c
+        weights[at] *= chi[(roots[at] * roots[at] - a) // q[at] % chi.size]
+    table = (qs, start, roots, weights)
     out = np.empty(c_max)
-    for lo in range(1, c_max + 1, ROOT_SUM_BLOCK):
-        c = np.arange(lo, min(lo + ROOT_SUM_BLOCK, c_max + 1), dtype=np.int64)
-        chi = chi_table[c % abs(DD)]
-        shared = np.flatnonzero(chi == 0)  # gcd(c, D) > 1
-        chi[shared] = _genus_sign(c[shared], DD, primes)
-        R = _root_sum_block(c, m, table) * chi
-        for i in shared[chi[shared] == 0].tolist():
-            R[i] = _root_sum(dd, DD, int(c[i]), m)
+    for lo in range(0, c_max, ROOT_SUM_BLOCK):
+        block = slice(lo, lo + ROOT_SUM_BLOCK)
+        R = _root_sum_block(c[block], m, table) * sign[block]
         bad = np.abs(R.imag) > KP_IMAG_TOL * np.maximum(1.0, np.abs(R.real))
         if bad.any():
             i = int(np.argmax(bad))
             raise ArithmeticError(
-                f"root sum ({dd},{DD},{int(c[i])},{m}) imaginary residue {R.imag[i]}"
+                f"root sum ({dd},{DD},{lo + i + 1},{m}) imaginary residue {R.imag[i]}"
             )
-        out[lo - 1 : lo - 1 + c.size] = R.real
+        out[block] = R.real
     out.flags.writeable = False
     return out
 

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from mocktrace.arith import (
     I_ARG_CEILING,
@@ -23,6 +24,7 @@ from mocktrace.arith import (
     sigma_real,
     zeta_real,
 )
+from mocktrace.series import _prime_discriminants
 
 
 class TestKronecker:
@@ -41,6 +43,22 @@ class TestKronecker:
             for m in range(1, 20):
                 for n in range(1, 20):
                     assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
+
+    # fundamental discriminants of both signs, with every 2-part -4, 8, -8
+    FUNDAMENTAL = [-3, -4, -7, -8, 5, 8, 12, -15, -20, 24, -24, 28, 40, -84, 1365, -2_042_040]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        D=st.sampled_from(FUNDAMENTAL),
+        n1=st.integers(-10**6, 10**6),
+        n2=st.integers(-10**6, 10**6),
+    )
+    def test_character_properties(self, D, n1, n2):
+        # what the root sums' character tables rely on
+        assert is_fundamental_discriminant(D)
+        assert kronecker(D, n1 * n2) == kronecker(D, n1) * kronecker(D, n2)
+        assert kronecker(D, n1) == kronecker(D, n1 % abs(D))
+        assert kronecker(D, n1) == math.prod(kronecker(ps, n1) for ps in _prime_discriminants(D))
 
 
 class TestEps:

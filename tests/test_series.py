@@ -1,8 +1,7 @@
-"""Kloosterman-type sums, square roots mod M, and the Bessel series."""
+"""Kloosterman-type sums, square roots modulo prime powers, and the Bessel series."""
 
 import cmath
 import math
-import random
 
 import numpy as np
 import pytest
@@ -12,41 +11,49 @@ from mocktrace import series
 from mocktrace.series import (
     C_MAX_LIMIT,
     MODULUS_LIMIT,
-    _root_sum,
     _root_sum_array,
     _spf_sieve,
+    _sqrt_mod_prime_power,
     b_series,
     coeff_a,
     kloosterman_plus,
     prop1_rhs,
     s_m_sum,
-    sqrts_mod,
     thm2_rhs,
 )
 from mocktrace.arith import divisors, kronecker
+from mocktrace.qform import QuadForm, chi_D
 
 
-def brute_sqrts(a: int, M: int) -> list[int]:
-    return [x for x in range(M) if (x * x - a) % M == 0]
+def brute_root_sum(d: int, D: int, c: int, m: int = 1) -> float:
+    """R(c) from its definition: b over every residue mod 4c, chi_D by its box scan."""
+    dD, M = d * D, 4 * c
+    total = 0j
+    for b in range(M):
+        if (b * b - dD) % M == 0:
+            chi = chi_D(D, QuadForm(c, b, (b * b - dD) // M))
+            total += chi * cmath.exp(1j * math.pi * m * b / c)
+    return total.real
 
 
 class TestSqrtsMod:
-    def test_matches_brute_force_small(self):
-        for M in range(1, 120):
-            for a in range(M):
-                assert sqrts_mod(a, M) == brute_sqrts(a, M), (a, M)
+    """The local square roots behind the root table, modulo prime powers."""
 
-    def test_matches_brute_force_random(self):
-        rng = random.Random(42)
-        for _ in range(60):
-            M = rng.randint(120, 4000)
-            a = rng.randint(0, M - 1)
-            assert sqrts_mod(a, M) == brute_sqrts(a, M), (a, M)
+    @pytest.mark.parametrize("p, k_max", [(2, 11), (3, 7), (5, 5), (7, 4), (97, 2)])
+    def test_matches_brute_force(self, p, k_max):
+        # every residue a, so a = 0 mod p^e for odd and even e included
+        for k in range(1, k_max + 1):
+            q = p**k
+            brute = [[] for _ in range(q)]
+            for x in range(q):
+                brute[x * x % q].append(x)
+            for a in range(q):
+                assert _sqrt_mod_prime_power(a, p, k) == brute[a], (a, p, k)
 
     def test_prime_power_cases(self):
-        assert sqrts_mod(0, 8) == [0, 4]
-        assert sqrts_mod(1, 8) == [1, 3, 5, 7]
-        assert sqrts_mod(4, 16) == [2, 6, 10, 14]
+        assert _sqrt_mod_prime_power(0, 2, 3) == [0, 4]
+        assert _sqrt_mod_prime_power(1, 2, 3) == [1, 3, 5, 7]
+        assert _sqrt_mod_prime_power(4, 2, 4) == [2, 6, 10, 14]
 
 
 class TestSpfSieve:
@@ -101,6 +108,11 @@ class TestKloostermanPlus:
     def test_modulus_validation(self):
         with pytest.raises(ValueError):
             kloosterman_plus(1, 1, 6)  # not divisible by 4
+
+    def test_values_are_python_floats(self):
+        # the CLI's verify reports serialize them to JSON
+        for value in (kloosterman_plus(5, 8, 64), kloosterman_plus(8, 5, 64), s_m_sum(2, 8, 8, 64)):
+            assert type(value) is float
 
 
 class TestSmSum:
@@ -174,37 +186,50 @@ class TestProp1Rhs:
 
 
 class TestRootSumArray:
-    """The batched CRT assembly against the per-modulus root sums."""
+    """The batched CRT assembly against the definition of the root sums."""
 
     DISCRIMINANTS = [d for d in range(1, 61) if d % 4 in (0, 1)]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
         d=st.sampled_from(DISCRIMINANTS),
-        D=st.sampled_from([1, 5, 8, 12, 13, 21, 65]),
+        D=st.sampled_from([1, 5, 8, 12, 13, 21, 24, 28, 40, 60, 65]),
         m=st.integers(0, 3),
         c_max=st.integers(1, 3000),
         picks=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
     )
-    def test_matches_scalar_root_sums(self, d, D, m, c_max, picks):
+    def test_matches_root_sum_definition(self, d, D, m, c_max, picks):
         R = _root_sum_array(d, D, c_max, m=m)
         assert R.shape == (c_max,)
         cs = set(range(1, min(c_max, 60) + 1)) | {c_max}
         cs |= {1 + int(u * (c_max - 1)) for u in picks}
+        # high powers of 2 exercise the local character at 2 for even D
+        cs |= {c for c in (64, 128, 192, 256) if c <= c_max}
         for c in sorted(cs):
-            want = _root_sum(d, D, c, m)
+            want = brute_root_sum(d, D, c, m)
             assert abs(R[c - 1] - want) <= 1e-12 * max(1.0, abs(want)), (d, D, m, c)
+
+    def test_discriminant_beyond_the_sieve(self):
+        # D is factored by trial division, so it may exceed the sieve
+        D = 2_042_040  # -3 * 5 * -7 * -11 * 13 * 17 * -8
+        assert D > series.SIEVE_MAX
+        for d in (1, 5):
+            R = _root_sum_array(d, D, 40)
+            for c in range(1, 41):
+                want = brute_root_sum(d, D, c)
+                assert abs(R[c - 1] - want) <= 1e-12 * max(1.0, abs(want)), (d, c)
 
     GRID = [
         (1, 1), (4, 1), (1, 4), (9, 1), (5, 1), (5, 5), (8, 8), (12, 1), (13, 13),
         (1, 21), (21, 21), (5, 65), (65, 65), (12, 12),
+        (5, -4), (1, -3), (12, -8), (-3, -4),
     ]
 
     def test_matches_direct_kloosterman(self):
         # K+(d, D; 4c) = 2 sqrt(c) R(c); (1, 4) goes through the d/D swap
         for d, D in self.GRID:
-            R = _root_sum_array(d, D, 40)
-            for c in range(1, 41):
+            R = _root_sum_array(d, D, 128)
+            for c in [*range(1, 41), 64, 128]:
                 direct = kloosterman_plus(d, D, 4 * c, method="direct")
                 assert 2.0 * math.sqrt(c) * R[c - 1] == pytest.approx(direct, abs=1e-8), (d, D, c)
 
@@ -279,7 +304,7 @@ class TestModulusCeiling:
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the ceiling check")
 
-        for name in ("_root_sum_array", "_root_sum", "_kp_direct", "_T_zero_case"):
+        for name in ("_root_sum_array", "_kp_direct", "_T_zero_case"):
             monkeypatch.setattr(series, name, refuse)
 
     def test_limits_fit_the_sieve(self):
@@ -350,6 +375,8 @@ class TestModulusCeiling:
     def test_largest_modulus_accepted(self):
         c = C_MAX_LIMIT
         assert kloosterman_plus(1, 1, MODULUS_LIMIT) == pytest.approx(
-            2.0 * math.sqrt(c) * _root_sum(1, 1, c), abs=1e-9
+            2.0 * math.sqrt(c) * brute_root_sum(1, 1, c), abs=1e-9
         )
-        assert s_m_sum(2, 1, 1, MODULUS_LIMIT) == pytest.approx(_root_sum(1, 1, c, 2), abs=1e-12)
+        assert s_m_sum(2, 1, 1, MODULUS_LIMIT) == pytest.approx(
+            brute_root_sum(1, 1, c, 2), abs=1e-12
+        )
