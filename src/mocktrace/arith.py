@@ -34,6 +34,8 @@ __all__ = [
 
 # exp overflows shortly past this; I_nu(x) ~ e^x/sqrt(2 pi x).
 I_ARG_CEILING = 700.0
+# bessel_I_vec sums the entries up to this argument with a shorter series
+I_SERIES_SPLIT = 0.1
 
 
 @dataclass(frozen=True)
@@ -229,12 +231,35 @@ def bessel_J_vec(nu: float, x: np.ndarray) -> np.ndarray:
     return special.jv(nu, np.asarray(x, dtype=float))
 
 
+def _I_series(nu: float, half: np.ndarray, x_stop: float) -> np.ndarray:
+    """sum_k (x^2/4)^k / (k! (nu+1)_k) at x = 2 half, one in-place Horner pass.
+
+    The series runs up to the first term below 1e-18 of the sum at x_stop.
+    """
+    h = 0.25 * x_stop * x_stop
+    term = total = 1.0
+    for n_terms in range(1, 2000):
+        term *= h / (n_terms * (nu + n_terms))
+        total += term
+        if term < 1e-18 * total:
+            break
+    # two exact-input multiplies by x/2 per term: a rounded (x/2)^2 would
+    # carry one systematic error into every power, ~k ulp at term k
+    acc = np.ones_like(half)
+    for k in range(n_terms, 0, -1):
+        acc *= half
+        acc *= half
+        acc *= 1.0 / (k * (nu + k))
+        acc += 1.0
+    return acc
+
+
 def bessel_I_vec(nu: float, x: np.ndarray) -> np.ndarray:
     """Vectorized I_nu by ascending series; same domain and messages as bessel_I.
 
-    The series length is fixed once at max(x), where the relative truncation
-    error is largest, and the series is then summed for every entry in one
-    in-place Horner pass over that many terms.
+    The relative tail of a fixed series length grows with x, so every entry
+    is summed at the length for min(max(x), I_SERIES_SPLIT), and only the
+    entries above the split again at the length for max(x).
     """
     x = np.asarray(x, dtype=float)
     if nu < 0:
@@ -246,22 +271,10 @@ def bessel_I_vec(nu: float, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"bessel_I requires x >= 0, got {lo}")
     if hi > I_ARG_CEILING:
         raise ValueError(f"bessel_I argument {hi} exceeds overflow ceiling {I_ARG_CEILING}")
-    # terms of sum_k (x^2/4)^k / (k! (nu+1)_k), up to the first below 1e-18 of the sum at max(x)
-    hmax = 0.25 * hi * hi
-    term = total = 1.0
-    for n_terms in range(1, 2000):
-        term *= hmax / (n_terms * (nu + n_terms))
-        total += term
-        if term < 1e-18 * total:
-            break
-    # two exact-input multiplies by x/2 per term: a rounded (x/2)^2 would
-    # carry one systematic error into every power, ~k ulp at term k
     half = 0.5 * x
-    acc = np.ones_like(x)
-    for k in range(n_terms, 0, -1):
-        acc *= half
-        acc *= half
-        acc *= 1.0 / (k * (nu + k))
-        acc += 1.0
+    acc = _I_series(nu, half, min(hi, I_SERIES_SPLIT))
+    if hi > I_SERIES_SPLIT:
+        big = np.flatnonzero(x > I_SERIES_SPLIT)
+        acc[big] = _I_series(nu, half[big], hi)
     acc *= half**nu / math.gamma(nu + 1)
     return acc

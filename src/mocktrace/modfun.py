@@ -127,18 +127,6 @@ def _j_int_coeffs(N: int) -> tuple[int, ...]:
     return tuple(_mul_trunc(num, den_inv, n))
 
 
-@lru_cache(maxsize=8)
-def _j_int_coeffs_e6(N: int) -> tuple[int, ...]:
-    """Independent route j = E6^2/Delta + 1728, same indexing; used as an oracle."""
-    n = N + 2
-    e6 = _eisenstein(6, n)
-    num = _mul_trunc(e6, e6, n)
-    den_inv = _series_inverse(_eta24_over_q(n), n)
-    out = list(_mul_trunc(num, den_inv, n))
-    out[1] += 1728
-    return tuple(out)
-
-
 @lru_cache(maxsize=128)
 def _jm_int_coeffs(m: int, N: int) -> tuple[int, ...]:
     """Exact coefficients of j_m from q^-m through q^N (length m + N + 1).

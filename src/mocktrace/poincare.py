@@ -11,19 +11,15 @@ into the geometric side of the trace identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .arith import bessel_I, bessel_I_vec, gamma_real
 from .modfun import cusp_matrix
-from .qform import QuadForm, UnimodularMatrix, apply, chi_D, classes_square
+from .qform import QuadForm, apply, chi_D, classes_square
 
 __all__ = [
-    "CosetRep",
-    "coset_reps",
     "phi_ms",
     "eval_Gm",
     "eval_GmQ",
@@ -31,7 +27,6 @@ __all__ = [
     "B_factor",
 ]
 
-THETA_EPS = 1e-6
 BOUND_DEFAULT_S2 = 300
 BOUND_DEFAULT_S15 = 1500
 
@@ -42,23 +37,6 @@ BOUND_DEFAULT_S15 = 1500
 Y_MAX_FRACTION = 6.0
 PANELS_PER_UNIT = 2.5
 GAUSS_NODES = 16
-
-
-@dataclass(frozen=True)
-class CosetRep:
-    """One coset of Gamma_inf in PSL_2(Z), labelled by its bottom row."""
-
-    matrix: UnimodularMatrix
-    bottom: tuple[int, int]
-
-
-def coset_reps(bound: int) -> list[CosetRep]:
-    """All cosets with max(|c|, |d|) <= bound; c >= 0, and (0, 1) for c = 0."""
-    C, D, A = _coset_arrays(bound)
-    out = [CosetRep(UnimodularMatrix(1, 0, 0, 1), (0, 1))]
-    for c, d, a in zip(C[1:].tolist(), D[1:].tolist(), A[1:].tolist()):
-        out.append(CosetRep(UnimodularMatrix(a, (a * d - 1) // c, c, d), (c, d)))
-    return out
 
 
 def _inverse_mod(d: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -78,8 +56,8 @@ def _inverse_mod(d: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _coset_arrays(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bottom rows and top-left entries as read-only arrays (C, D, A), identity first.
 
-    The order is coset_reps': c ascending, then d ascending, over coprime
-    (c, d) with 1 <= c <= bound and |d| <= bound.
+    After the identity (0, 1), the order is c ascending, then d ascending,
+    over coprime (c, d) with 1 <= c <= bound and |d| <= bound.
     """
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
@@ -122,33 +100,77 @@ def _normalize_bottom(c: int, d: int) -> tuple[int, int]:
     return c, d
 
 
-# one entry: a quadrature ray evaluates all its nodes against one excluded set
-@lru_cache(maxsize=1)
-def _coset_geometry(
-    bound: int, excluded: frozenset[tuple[int, int]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Node-independent parts of the coset sum over the box minus `excluded`.
-
-    Returns float (C, D, 1/C, frac(A/C)) over the kept cosets; 1/C and frac
-    are 0 on the identity, which is entry 0 when it is kept (C[0] == 0).
-    """
+def _kept_cosets(bound: int, excluded: frozenset, half: bool) -> tuple[np.ndarray, ...]:
+    """Float (C, D, frac(A/C)) over the box or its d >= 0 half, minus `excluded`."""
     C, D, A = _coset_arrays(bound)
-    keep = np.ones(len(C), dtype=bool)
+    keep = D >= 0 if half else np.ones(len(C), dtype=bool)
     for cd in excluded:
         keep &= ~((C == cd[0]) & (D == cd[1]))
     C, D, A = C[keep].astype(float), D[keep].astype(float), A[keep]
-    inv_c = np.divide(1.0, C, out=np.zeros_like(C), where=C > 0)
     # a/c contributes only mod 1, so a float quotient of a in [0, c) is exact enough
-    frac = np.divide(A, C, out=np.zeros_like(C), where=C > 0)
+    return C, D, np.divide(A, C, out=np.zeros_like(C), where=C > 0)
+
+
+# one entry each: a quadrature ray evaluates all its nodes against one excluded
+# set, and the vertical rays of prop1_lhs use only the folded geometry
+@lru_cache(maxsize=1)
+def _coset_geometry(bound: int, excluded: frozenset) -> tuple[np.ndarray, ...]:
+    """Node-independent parts of the coset sum: float (C, D, 1/C, frac(A/C)), 1/C = 0 at c = 0."""
+    C, D, frac = _kept_cosets(bound, excluded, half=False)
+    inv_c = np.divide(1.0, C, out=np.zeros_like(C), where=C > 0)
     for arr in (C, D, inv_c, frac):
         arr.flags.writeable = False
     return C, D, inv_c, frac
 
 
+@lru_cache(maxsize=1)
+def _folded_geometry(bound: int, excluded: frozenset) -> tuple[np.ndarray, ...]:
+    """The d >= 0 half: float (C^2, D^2, D/C, frac(A/C)), D/C = 0 at c = 0.
+
+    Also the positions of the cosets that are their own mirror image: the
+    identity and (1, 0)."""
+    C, D, frac = _kept_cosets(bound, excluded, half=True)
+    self_mirror = np.flatnonzero((C == 0) | (D == 0))
+    d_over_c = np.divide(D, C, out=np.zeros_like(C), where=C > 0)
+    C *= C
+    D *= D
+    for arr in (C, D, d_over_c, frac, self_mirror):
+        arr.flags.writeable = False
+    return C, D, d_over_c, frac, self_mirror
+
+
+def _folded_sum(m: int, y: float, s: float, bound: int, excluded: frozenset) -> complex:
+    """_sum_over_cosets at tau = iy for a mirror-closed excluded set.
+
+    (c, d) and (c, -d) have the same |c tau + d|^2, and with a' = c - a
+    their m Re(gamma tau) are opposite mod 1, so their terms are complex
+    conjugates: the sum is real, and each coset with c, d > 0 stands for
+    its pair with weight 2.
+    """
+    C2, D2, d_over_c, frac, self_mirror = _folded_geometry(bound, excluded)
+    n2 = C2 * (y * y)
+    n2 += D2
+    phi = _phi_vec(m, s, y / n2)
+    if m == 0:
+        return complex(2.0 * np.sum(phi) - np.sum(phi[self_mirror]), 0.0)
+    # Re(gamma tau) = a/c - d / (c n2), reduced as in the full box
+    u = np.divide(d_over_c, n2, out=n2)
+    np.subtract(frac, u, out=u)
+    u *= m
+    u -= np.rint(u)
+    u *= 2 * math.pi
+    cos = np.cos(u, out=u)
+    total = 2.0 * np.dot(phi, cos) - np.dot(phi[self_mirror], cos[self_mirror])
+    return complex(total, 0.0)
+
+
 def _sum_over_cosets(
     m: int, tau: complex, s: float, bound: int, excluded: frozenset[tuple[int, int]] = frozenset()
 ) -> complex:
-    C, D, inv_c, frac = _coset_geometry(bound, frozenset(excluded))
+    excluded = frozenset(excluded)
+    if tau.real == 0 and all(_normalize_bottom(c, -d) in excluded for c, d in excluded):
+        return _folded_sum(m, tau.imag, s, bound, excluded)
+    C, D, inv_c, frac = _coset_geometry(bound, excluded)
     x, y = tau.real, tau.imag
     # u = Re(c tau + d) and n2 = |c tau + d|^2, so Im(gamma tau) = y / n2
     u = C * x
@@ -232,14 +254,6 @@ def _ray_integral(
     return total + tail, err
 
 
-def _vertical_integral(
-    m: int, Q: QuadForm, s: float, bound: int, y_max: float
-) -> tuple[float, float]:
-    """2 int_1^inf G_{m,Q}(iy, s) dy/y using the y -> 1/y symmetry (a = 0)."""
-    val, err = _ray_integral(m, Q, 0.0, 1.0, s, bound, y_max)
-    return 2.0 * val.real, 2.0 * err
-
-
 def _split_ray_integral(
     m: int, Q: QuadForm, s: float, bound: int, y_max: float
 ) -> tuple[float, float]:
@@ -267,28 +281,6 @@ def _split_ray_integral(
         total += sign * (rt / Qp.b) * val
         err += abs(rt / Qp.b) * e
     return total.real, err + abs(total.imag)
-
-
-def _semicircle_integral(
-    m: int, Q: QuadForm, s: float, bound: int
-) -> tuple[float, float]:
-    """int G_{m,Q} dtau_Q on the semicircle of Q directly, theta in (eps, pi-eps).
-
-    Kept as a cross-check of _split_ray_integral; near the cusps the
-    truncated coset box loses mass, so this route converges only like
-    1/bound and is not used on the default path.
-    """
-    excluded = _excluded_bottoms(Q)
-    c0 = -Q.b / (2 * Q.a)
-    r = math.sqrt(Q.disc) / (2 * abs(Q.a))
-    sign = 1.0 if Q.a > 0 else -1.0
-
-    def f(theta: float) -> float:
-        tau = complex(c0 + r * math.cos(theta), r * math.sin(theta))
-        return _sum_over_cosets(m, tau, s, bound, excluded).real / math.sin(theta)
-
-    val, quad_err = quad(f, THETA_EPS, math.pi - THETA_EPS, epsabs=1e-8, limit=200)
-    return sign * val, quad_err + 2 * THETA_EPS
 
 
 def prop1_lhs(
@@ -323,8 +315,9 @@ def prop1_lhs(
         ch = chi_D(D, Q)
         if ch == 0:
             continue
-        if Q.a == 0:
-            val, e = _vertical_integral(m, Q, s, bound, y_max)
+        if Q.a == 0:  # 2 int_1^inf G_{m,Q}(iy, s) dy/y, by the symmetry y -> 1/y
+            val, e = _ray_integral(m, Q, 0.0, 1.0, s, bound, y_max)
+            val, e = 2.0 * val.real, 2.0 * e
         else:
             val, e = _split_ray_integral(m, Q, s, bound, y_max)
         total += ch * val

@@ -6,16 +6,17 @@ a Salie-type closed form, the root sum R(c) over the square roots b of dD
 mod 4c weighted by the genus character chi_D([c, b, *]).  The defining sum
 (_kp_direct) is the reference the closed form is tested against.
 
-_root_sum_array is the one route to the root sums: it builds R(c) for every
-c <= c_max in numpy, in blocks of ROOT_SUM_BLOCK moduli, and single moduli
-are read off the same array.  Every 4c is factored through the
-smallest-prime-factor sieve, and by CRT R(c) is a sign times the product,
-over the prime powers q || 4c, of local sums over the square roots of dD
-mod q.  chi_D is the product of the Kronecker characters of the prime
-discriminants of D, and each of those splits into the sign on c and a
-weight on the local roots at its own prime.  The local roots are found
-once per prime power and per call.  All moduli 4c must lie inside the
-sieve: c_max <= C_MAX_LIMIT.
+_root_sums is the one route to the root sums: it builds R(c) in numpy for
+an array of moduli, in blocks of ROOT_SUM_BLOCK.  _root_sum_array runs it
+over every c <= c_max, and a single modulus (_root_sum_at) runs it over
+that c alone.  Every 4c is factored through the smallest-prime-factor
+sieve, and by CRT R(c) is a sign times the product, over the prime powers
+q || 4c, of local sums over the square roots of dD mod q.  chi_D is the
+product of the Kronecker characters of the prime discriminants of D, and
+each of those splits into the sign on c and a weight on the local roots at
+its own prime.  The local roots are found once per prime power and per
+call, for the prime powers the call's moduli can have.  All moduli 4c must
+lie inside the sieve: c_max <= C_MAX_LIMIT.
 
 On top of K+ sit the series b(d, D, s), the extrapolated coefficients
 a(d, D), the spectral sides of the trace identity, and the divisor-sum
@@ -61,7 +62,7 @@ MODULUS_LIMIT = 4 * C_MAX_LIMIT
 # the series complete their tails from checkpoints at c >= C_MAX_FLOOR
 C_MAX_FLOOR = 100
 KP_IMAG_TOL = 1e-9
-ROOT_SUM_BLOCK = 16_384
+ROOT_SUM_BLOCK = 4096
 
 DELTAS_DEFAULT = (0.2, 0.1, 0.05)
 CMAX_BY_DELTA = {0.2: 30_000, 0.1: 100_000, 0.05: 200_000}
@@ -328,7 +329,7 @@ def kloosterman_plus(d: int, D: int, modulus: int, method: str = "auto") -> floa
             return 4.0 * math.sqrt(c) * _T_zero_case(n, c)
         return _kp_direct(d, D, c)
     if (d * D) % 4 in (0, 1) and any(map(is_fundamental_discriminant, (d, D))):
-        return 2.0 * math.sqrt(c) * float(_root_sum_array(d, D, c)[c - 1])
+        return 2.0 * math.sqrt(c) * _root_sum_at(d, D, c)
     return _kp_direct(d, D, c)
 
 
@@ -349,7 +350,7 @@ def s_m_sum(m: int, d: int, D: int, modulus: int) -> float:
     _check_modulus(modulus)
     _check_s_m_args(m, d, D)
     c = modulus // 4
-    return float(_root_sum_array(d, D, c, m)[c - 1])
+    return _root_sum_at(d, D, c, m)
 
 
 # ----------------------------------------------------------------------
@@ -378,11 +379,9 @@ def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """Elementwise base^exp mod mod, for moduli below 2^31."""
     out = np.ones_like(base)
     base = base % mod
-    exp = exp.copy()
-    while exp.any():
-        out = out * np.where(exp & 1, base, 1) % mod
+    for bit in range(int(exp.max()).bit_length()):
+        out = np.where(exp >> bit & 1, out * base % mod, out)
         base = base * base % mod
-        exp >>= 1
     return out
 
 
@@ -407,13 +406,8 @@ def _prime_discriminants(D: int) -> list[int]:
     return out + [two] if two != 1 else out
 
 
-def _local_root_table(a: int, c_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The square roots of a modulo every prime power that can divide 4c exactly.
-
-    Those are the odd prime powers up to c_max and 2^k, 4 <= 2^k <= 4 c_max.
-    Returns (q, start, roots) with q sorted and the roots of a mod q[i] in
-    roots[start[i]:start[i + 1]].
-    """
+def _prime_powers(c_max: int) -> list[tuple[int, int]]:
+    """(p, k) with p^k || 4c, c <= c_max, by value: odd p^k <= c_max and 4 <= 2^k <= 4 c_max."""
     spf = _spf_sieve()
     ns = np.arange(3, c_max + 1)
     odd_primes = ns[spf[3 : c_max + 1] == ns]
@@ -423,7 +417,15 @@ def _local_root_table(a: int, c_max: int) -> tuple[np.ndarray, np.ndarray, np.nd
         while q <= c_max:
             factors.append((p, k))
             q, k = q * p, k + 1
-    factors.sort(key=lambda pk: pk[0] ** pk[1])
+    return sorted(factors, key=lambda pk: pk[0] ** pk[1])
+
+
+def _local_root_table(a: int, factors: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The square roots of a modulo each prime power p^k of `factors`, sorted by value.
+
+    Returns (q, start, roots) with q sorted and the roots of a mod q[i] in
+    roots[start[i]:start[i + 1]].
+    """
     local = [_sqrt_mod_prime_power(a, p, k) for p, k in factors]
     qs = np.array([p**k for p, k in factors], dtype=np.int64)
     start = np.zeros(len(local) + 1, dtype=np.int64)
@@ -443,7 +445,8 @@ def _local_sums(M, q, p, m, table) -> np.ndarray:
     first, count = start[pos], start[pos + 1] - start[pos]
     pair = np.repeat(np.arange(q.size), count)
     at = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(pair.size)
-    angle = 2.0 * np.pi * (roots[at] * t[pair] % q[pair]) / q[pair]
+    qp = q[pair]
+    angle = 2.0 * np.pi * (roots[at] * t[pair] % qp) / qp
     cos, sin = np.cos(angle), np.sin(angle)
     if weights is not None:
         cos *= weights[at]
@@ -452,30 +455,37 @@ def _local_sums(M, q, p, m, table) -> np.ndarray:
 
 
 def _root_sum_block(c: np.ndarray, m: int, table) -> np.ndarray:
-    """The CRT product of the local sums over the prime powers q || 4c."""
+    """The CRT product of the local sums over the prime powers q || 4c.
+
+    4c splits into its 2-part, then one odd prime power per pass, smallest
+    prime first; the local sums of all passes are taken in one call.
+    """
     spf = _spf_sieve()
-    M = 4 * c
     low = c & -c
-    q = 4 * low  # the 2-part of 4c
-    R = _local_sums(M, q, np.full_like(q, 2), m, table)
+    passes = [(np.arange(c.size), 4 * low, np.full_like(c, 2))]  # the 2-part of 4c
     rest = c // low
     idx = np.flatnonzero(rest > 1)
-    while idx.size:  # one odd prime of each 4c per pass, smallest first
+    while idx.size:
         n = rest[idx]
         p = spf[n].astype(np.int64)
         q, n = p.copy(), n // p
         while (more := n % p == 0).any():
             q[more] *= p[more]
             n[more] //= p[more]
-        R[idx] *= _local_sums(M[idx], q, p, m, table)
+        passes.append((idx, q, p))
         rest[idx] = n
         idx = idx[n > 1]
+    owner, q, p = (np.concatenate(parts) for parts in zip(*passes))
+    L = _local_sums(4 * c[owner], q, p, m, table)
+    R, at = L[: c.size], c.size
+    for idx, _, _ in passes[1:]:
+        R[idx] *= L[at : at + idx.size]
+        at += idx.size
     return R
 
 
-@lru_cache(maxsize=16)
-def _root_sum_array(d: int, D: int, c_max: int, m: int = 1) -> np.ndarray:
-    """R(c) = sum over b mod 4c with b^2 = dD of chi_D([c,b,*]) e(mb/2c), c = 1 .. c_max.
+def _root_sums(d: int, D: int, c: np.ndarray, m: int, factors: list) -> np.ndarray:
+    """R(c) = sum over b mod 4c with b^2 = dD of chi_D([c,b,*]) e(mb/2c), per modulus of c.
 
     For m = 1 this is K+(d, D; 4c) / (2 sqrt c).  D carries the character
     when it is 1 or fundamental, else d does; with neither there is no fast
@@ -487,9 +497,9 @@ def _root_sum_array(d: int, D: int, c_max: int, m: int = 1) -> np.ndarray:
     p^v || c, and, where p | c (at 2: q >= 8), a weight (p* / ((r^2 - dD)/q))
     on each square root r of dD mod q.  R(c) is the sign times the CRT
     product of the weighted local root sums (_root_sum_block), for every
-    modulus alike.  The moduli are processed in blocks of ROOT_SUM_BLOCK,
-    and the table of local roots lives for one call only.  The returned
-    array is shared through the cache and read-only.
+    modulus alike.  The table of local roots holds the prime powers
+    `factors` (sorted by value, covering every q || 4c) and lives for one
+    call only; the moduli are processed in blocks of ROOT_SUM_BLOCK.
     """
     if is_fundamental_discriminant(D):
         dd, DD = d, D
@@ -497,13 +507,12 @@ def _root_sum_array(d: int, D: int, c_max: int, m: int = 1) -> np.ndarray:
         dd, DD = D, d
     else:
         raise ValueError(f"no fast Kloosterman route for d={d}, D={D}")
-    _check_c_max(c_max)
     a = dd * DD
-    qs, start, roots = _local_root_table(a, c_max)
-    q = np.repeat(qs, np.diff(start))  # the modulus of each root
-    weights = np.ones(roots.size) if DD != 1 else None
-    c = np.arange(1, c_max + 1, dtype=np.int64)
-    sign = np.ones_like(c)
+    qs, start, roots = _local_root_table(a, factors)
+    sign, weights = np.ones_like(c), None
+    if DD != 1:
+        q = np.repeat(qs, np.diff(start))  # the modulus of each root
+        weights = np.ones(roots.size)
     for ps in _prime_discriminants(DD):
         chi = np.array([kronecker(ps, r) for r in range(abs(ps))])
         p = abs(ps) if ps % 2 else 2
@@ -514,19 +523,36 @@ def _root_sum_array(d: int, D: int, c_max: int, m: int = 1) -> np.ndarray:
         at = q % (8 if p == 2 else p) == 0  # the roots mod q = p^k with p | c
         weights[at] *= chi[(roots[at] * roots[at] - a) // q[at] % chi.size]
     table = (qs, start, roots, weights)
-    out = np.empty(c_max)
-    for lo in range(0, c_max, ROOT_SUM_BLOCK):
+    out = np.empty(c.size)
+    for lo in range(0, c.size, ROOT_SUM_BLOCK):
         block = slice(lo, lo + ROOT_SUM_BLOCK)
         R = _root_sum_block(c[block], m, table) * sign[block]
         bad = np.abs(R.imag) > KP_IMAG_TOL * np.maximum(1.0, np.abs(R.real))
         if bad.any():
             i = int(np.argmax(bad))
             raise ArithmeticError(
-                f"root sum ({dd},{DD},{lo + i + 1},{m}) imaginary residue {R.imag[i]}"
+                f"root sum ({dd},{DD},{c[lo + i]},{m}) imaginary residue {R.imag[i]}"
             )
         out[block] = R.real
+    return out
+
+
+@lru_cache(maxsize=16)
+def _root_sum_array(d: int, D: int, c_max: int, m: int = 1) -> np.ndarray:
+    """_root_sums for c = 1 .. c_max, shared through the cache and read-only."""
+    _check_c_max(c_max)
+    c = np.arange(1, c_max + 1, dtype=np.int64)
+    out = _root_sums(d, D, c, m, _prime_powers(c_max))
     out.flags.writeable = False
     return out
+
+
+# symmetric sweeps (K+(d, D) against K+(D, d) over a grid) ask for each value twice
+@lru_cache(maxsize=4096)
+def _root_sum_at(d: int, D: int, c: int, m: int = 1) -> float:
+    """_root_sums at the one modulus c, from a root table of the q || 4c alone."""
+    factors = sorted(factorize(4 * c), key=lambda pk: pk[0] ** pk[1])
+    return float(_root_sums(d, D, np.array([c], dtype=np.int64), m, factors)[0])
 
 
 def _bessel_tail_integral(nu: float, arg0: float, X: float) -> float:

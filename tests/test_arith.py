@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from mocktrace.arith import (
     I_ARG_CEILING,
+    I_SERIES_SPLIT,
     bessel_I,
     bessel_I_vec,
     bessel_J,
@@ -251,6 +252,35 @@ class TestBesselIVec:
         with pytest.raises(ValueError) as vec:
             bessel_I_vec(nu, np.array(x))
         assert str(vec.value) == str(scalar.value)
+
+
+class TestBesselIVecTwoTier:
+    """Entries up to I_SERIES_SPLIT get a shorter series than the largest one."""
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.5])
+    def test_straddling_the_split(self, nu):
+        t = I_SERIES_SPLIT
+        rng = np.random.default_rng(11)
+        xs = np.concatenate(
+            ([t, t * (1 - 1e-9), t * (1 + 1e-9), 0.0, 1e-300, 1e-12, 699.5],
+             rng.uniform(0.0, 1e-3, 50), rng.uniform(0.5 * t, 2.0 * t, 50),
+             rng.uniform(2.0 * t, 30.0, 20))
+        )
+        got = bessel_I_vec(nu, xs)
+        with mpmath.workdps(30):
+            for x, v in zip(map(float, xs), got):
+                ref = float(mpmath.besseli(nu, x))
+                assert v == pytest.approx(ref, rel=1e-14, abs=0.0), (nu, x)
+
+    @pytest.mark.parametrize("hi", [0.05, I_SERIES_SPLIT, 0.2, 699.5])
+    def test_short_tier_alone_and_with_large_entries(self, hi):
+        # all entries at or below the split, and one large entry above it
+        xs = np.concatenate((np.linspace(0.0, min(hi, I_SERIES_SPLIT), 33), [hi]))
+        got = bessel_I_vec(1.5, xs)
+        with mpmath.workdps(30):
+            for x, v in zip(map(float, xs), got):
+                ref = float(mpmath.besseli(1.5, x))
+                assert v == pytest.approx(ref, rel=1e-14, abs=0.0), x
 
 
 class TestFundamentalDiscriminant:

@@ -13,9 +13,12 @@ from mocktrace.modfun import (
     N_MAX,
     V_STAR,
     _cusp_term,
+    _eisenstein,
+    _eta24_over_q,
     _j_int_coeffs,
-    _j_int_coeffs_e6,
     _jm_int_coeffs,
+    _mul_trunc,
+    _series_inverse,
     cusp_matrix,
     eval_jm,
     eval_jmQ,
@@ -24,6 +27,17 @@ from mocktrace.modfun import (
     reduce_to_fundamental,
 )
 from mocktrace.qform import IDENTITY, QuadForm, S, translation
+
+
+def _j_int_coeffs_e6(N: int) -> tuple[int, ...]:
+    """Independent route j = E6^2/Delta + 1728, indexed as _j_int_coeffs; an oracle."""
+    n = N + 2
+    e6 = _eisenstein(6, n)
+    num = _mul_trunc(e6, e6, n)
+    den_inv = _series_inverse(_eta24_over_q(n), n)
+    out = list(_mul_trunc(num, den_inv, n))
+    out[1] += 1728
+    return tuple(out)
 
 
 class TestCoefficients:

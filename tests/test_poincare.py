@@ -1,13 +1,15 @@
 """Truncated Poincare series: coset enumeration, evaluation, cycle integrals."""
 
 import math
+from dataclasses import dataclass
 
 import pytest
+from scipy.integrate import quad
 
+from mocktrace import poincare
 from mocktrace.arith import zeta_real
 from mocktrace.poincare import (
     B_factor,
-    coset_reps,
     eval_Gm,
     eval_GmQ,
     phi_ms,
@@ -16,11 +18,48 @@ from mocktrace.poincare import (
 from mocktrace.poincare import (
     _coset_arrays,
     _excluded_bottoms,
-    _semicircle_integral,
     _split_ray_integral,
     _sum_over_cosets,
 )
 from mocktrace.qform import QuadForm, UnimodularMatrix
+
+THETA_EPS = 1e-6
+
+
+@dataclass(frozen=True)
+class CosetRep:
+    """One coset of Gamma_inf in PSL_2(Z), labelled by its bottom row."""
+
+    matrix: UnimodularMatrix
+    bottom: tuple[int, int]
+
+
+def coset_reps(bound: int) -> list[CosetRep]:
+    """All cosets with max(|c|, |d|) <= bound; c >= 0, and (0, 1) for c = 0."""
+    C, D, A = _coset_arrays(bound)
+    out = [CosetRep(UnimodularMatrix(1, 0, 0, 1), (0, 1))]
+    for c, d, a in zip(C[1:].tolist(), D[1:].tolist(), A[1:].tolist()):
+        out.append(CosetRep(UnimodularMatrix(a, (a * d - 1) // c, c, d), (c, d)))
+    return out
+
+
+def _semicircle_integral(m: int, Q: QuadForm, s: float, bound: int) -> tuple[float, float]:
+    """int G_{m,Q} dtau_Q on the semicircle of Q directly, theta in (eps, pi-eps).
+
+    A cross-check of _split_ray_integral: near the cusps the truncated coset
+    box loses mass, so this route converges only like 1/bound.
+    """
+    excluded = _excluded_bottoms(Q)
+    c0 = -Q.b / (2 * Q.a)
+    r = math.sqrt(Q.disc) / (2 * abs(Q.a))
+    sign = 1.0 if Q.a > 0 else -1.0
+
+    def f(theta: float) -> float:
+        tau = complex(c0 + r * math.cos(theta), r * math.sin(theta))
+        return _sum_over_cosets(m, tau, s, bound, excluded).real / math.sin(theta)
+
+    val, quad_err = quad(f, THETA_EPS, math.pi - THETA_EPS, epsabs=1e-8, limit=200)
+    return sign * val, quad_err + 2 * THETA_EPS
 
 
 def _enumerate_cosets(bound):
@@ -122,6 +161,57 @@ class TestSumOverCosets:
             got = _sum_over_cosets(m, tau, s, self.BOUND, excluded)
             ref = self.oracle(m, tau, s, self.BOUND, excluded)
             assert abs(got - ref) <= 1e-12 * abs(ref), (tau, got, ref)
+
+
+class TestFoldedSum:
+    """At Re tau = 0 with a mirror-closed excluded set the box is summed folded."""
+
+    BOUND = 12
+    # no exclusion, the roots of [0, 1, 0] and [0, 2, 0] (both {(0, 1), (1, 0)}),
+    # and the roots of [1, 2, 0], whose set is not closed under d -> -d
+    CASES = [None, (0, 1, 0), (0, 2, 0), (1, 2, 0)]
+
+    @pytest.mark.parametrize("form", CASES)
+    @pytest.mark.parametrize("s", [1.5, 2.0])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_matches_per_coset_oracle(self, m, s, form):
+        excluded = frozenset() if form is None else _excluded_bottoms(QuadForm(*form))
+        for y in (0.3, 0.81, 1.0, 2.6, 9.5):
+            tau = complex(0.0, y)
+            got = _sum_over_cosets(m, tau, s, self.BOUND, excluded)
+            ref = TestSumOverCosets.oracle(m, tau, s, self.BOUND, excluded)
+            assert abs(got - ref) <= 1e-12 * abs(ref), (y, got, ref)
+            if form != (1, 2, 0):
+                assert got.imag == 0.0  # the folded sum is real by construction
+
+    @pytest.mark.parametrize("form", CASES)
+    def test_fold_taken_exactly_when_mirror_closed(self, form, monkeypatch):
+        excluded = frozenset() if form is None else _excluded_bottoms(QuadForm(*form))
+        folded = []
+        inner = poincare._folded_sum
+
+        def counting(*args):
+            folded.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(poincare, "_folded_sum", counting)
+        _sum_over_cosets(1, complex(0.0, 1.3), 2.0, self.BOUND, excluded)
+        assert len(folded) == (form != (1, 2, 0))
+        _sum_over_cosets(1, complex(0.2, 1.3), 2.0, self.BOUND, excluded)
+        assert len(folded) == (form != (1, 2, 0))
+
+    def test_node_count_unchanged(self, monkeypatch):
+        # the fold changes what a node costs, not which nodes are evaluated
+        calls = []
+        inner = poincare._sum_over_cosets
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(poincare, "_sum_over_cosets", counting)
+        prop1_lhs(1, 1, 1, 2.0)
+        assert len(calls) == 162
 
 
 class TestPhi:

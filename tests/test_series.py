@@ -233,6 +233,14 @@ class TestRootSumArray:
                 direct = kloosterman_plus(d, D, 4 * c, method="direct")
                 assert 2.0 * math.sqrt(c) * R[c - 1] == pytest.approx(direct, abs=1e-8), (d, D, c)
 
+    def test_single_modulus_matches_the_array(self):
+        # one modulus runs the same code on a root table of its own q || 4c
+        for d, D in self.GRID:
+            for m in (0, 1, 3):
+                R = _root_sum_array(d, D, 256, m=m)
+                for c in (*range(1, 25), 64, 105, 128, 210, 256):
+                    assert series._root_sum_at(d, D, c, m) == R[c - 1], (d, D, m, c)
+
     def test_cached_array_is_read_only(self):
         R = _root_sum_array(1, 1, 100)
         with pytest.raises(ValueError):
@@ -304,7 +312,7 @@ class TestModulusCeiling:
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the ceiling check")
 
-        for name in ("_root_sum_array", "_kp_direct", "_T_zero_case"):
+        for name in ("_root_sum_array", "_root_sum_at", "_kp_direct", "_T_zero_case"):
             monkeypatch.setattr(series, name, refuse)
 
     def test_limits_fit_the_sieve(self):
