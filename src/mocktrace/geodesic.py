@@ -129,9 +129,9 @@ def geodesic_cycle(Q: QuadForm) -> GeodesicCycle:
 def _quad_complex(f: Callable[[float], complex], a: float, b: float):
     """int_a^b f as two real quad passes over one integrand memoized on the node.
 
-    Returns the integral and the memoized integrand.  (quad's complex_func
-    option is avoided: it loses the sign of reversed limits, and closed
-    cycles run from pi/2 down to theta_end.)
+    Returns the integral, the sum of the passes' abserr and the memoized
+    integrand.  (quad's complex_func option is avoided: it loses the sign of
+    reversed limits, and closed cycles run from pi/2 down to theta_end.)
     """
     memo: dict[float, complex] = {}
 
@@ -141,9 +141,9 @@ def _quad_complex(f: Callable[[float], complex], a: float, b: float):
             v = memo[x] = f(x)
         return v
 
-    re, _ = quad(lambda x: g(x).real, a, b, epsabs=QUAD_TOL, limit=QUAD_LIMIT)
-    im, _ = quad(lambda x: g(x).imag, a, b, epsabs=QUAD_TOL, limit=QUAD_LIMIT)
-    return complex(re, im), g
+    re, re_err = quad(lambda x: g(x).real, a, b, epsabs=QUAD_TOL, limit=QUAD_LIMIT)
+    im, im_err = quad(lambda x: g(x).imag, a, b, epsabs=QUAD_TOL, limit=QUAD_LIMIT)
+    return complex(re, im), re_err + im_err, g
 
 
 def cycle_integral_closed(Q: QuadForm, integrand: Callable[[complex], complex]) -> complex:
@@ -153,15 +153,20 @@ def cycle_integral_closed(Q: QuadForm, integrand: Callable[[complex], complex]) 
     the semicircle S_Q from the apex to its image under the automorph, on
     which d tau / Q(tau, 1) = sign(a) dtheta / (sqrt(d) sin theta).
     """
+    return _cycle_integral_closed(Q, integrand)[0]
+
+
+def _cycle_integral_closed(Q: QuadForm, integrand) -> tuple[complex, float]:
+    """cycle_integral_closed and quad's abserr on the same scale."""
     d = Q.disc
     if d <= 0 or math.isqrt(d) ** 2 == d:
         raise ValueError(f"closed cycles need a positive nonsquare discriminant, got {d}")
     cyc = geodesic_cycle(Q)
     th0, th1 = cyc.theta_range
-    total, _ = _quad_complex(
+    total, abserr, _ = _quad_complex(
         lambda theta: integrand(cyc.point(theta)) / math.sin(theta), th0, th1
     )
-    return cyc.orientation * total / math.sqrt(d)
+    return cyc.orientation * total / math.sqrt(d), abserr / math.sqrt(d)
 
 
 def trace_negative(d: int, D: int, m: int) -> TraceResult:
@@ -207,17 +212,21 @@ def trace_nonsquare(d: int, D: int, m: int) -> TraceResult:
     _check_twist(d, D)
     cl = classes_nonsquare(dD)
     total = 0.0 + 0.0j
+    quad_err = 0.0
     for Q in cl.reps:
         ch = chi_D(D, Q)
         if ch == 0:
             continue
-        total += ch * cycle_integral_closed(Q, lambda tau: eval_jm(m, tau))
+        value, abserr = _cycle_integral_closed(Q, lambda tau: eval_jm(m, tau))
+        total += ch * value
+        quad_err += abserr
     total /= 2 * math.pi
     if abs(total.imag) > IMAG_RESIDUE_TOL:
         raise ArithmeticError(f"imaginary residue {total.imag} in trace_nonsquare({d},{D},{m})")
     eps_d = pell_fundamental(dD).unit
-    # quadrature tolerance per class, scaled by the cycle length as a proxy
+    # quadrature tolerance per class (cycle length as a proxy), plus quad's abserr
     err = len(cl.reps) * (QUAD_TOL * 2 * math.log(eps_d) / math.sqrt(dD) + 1e-9)
+    err += quad_err / (2 * math.pi)
     return TraceResult(
         value=total.real,
         d=d,
@@ -229,25 +238,25 @@ def trace_nonsquare(d: int, D: int, m: int) -> TraceResult:
     )
 
 
-def _cusp_integral_semicircle(m: int, Q: QuadForm) -> complex:
-    """Integral of j_{m,Q} dtau_Q over the semicircle, theta in (eps, pi - eps)."""
+def _cusp_integral_semicircle(m: int, Q: QuadForm) -> tuple[complex, float]:
+    """int j_{m,Q} dtau_Q over the semicircle, theta in (eps, pi - eps), and quad's abserr."""
     cyc = geodesic_cycle(Q)
     th0, th1 = cyc.theta_range
-    total, f = _quad_complex(
+    total, abserr, f = _quad_complex(
         lambda theta: eval_jmQ(m, Q, cyc.point(theta)) / math.sin(theta), th0, th1
     )
     # rectangle-rule estimate for the two clipped endpoint slivers; the
     # integrand extends continuously to the cusps, so this leaves O(eps^2)
     sliver = THETA_EPS * (f(th0) + f(th1))
-    return cyc.orientation * (total + sliver)
+    return cyc.orientation * (total + sliver), abserr
 
 
-def _cusp_integral_vertical(m: int, Q: QuadForm) -> complex:
-    """Integral of j_{m,Q}(iy) dy/y over y = e^t, |t| < T."""
-    total, _ = _quad_complex(
+def _cusp_integral_vertical(m: int, Q: QuadForm) -> tuple[complex, float]:
+    """Integral of j_{m,Q}(iy) dy/y over y = e^t, |t| < T, and quad's abserr."""
+    total, abserr, _ = _quad_complex(
         lambda t: eval_jmQ(m, Q, complex(0.0, math.exp(t))), -T_VERTICAL, T_VERTICAL
     )
-    return total
+    return total, abserr
 
 
 def _semicircle_equivalent(Q: QuadForm) -> QuadForm:
@@ -277,29 +286,28 @@ def trace_square(d: int, D: int, m: int, route: str = "vertical") -> TraceResult
     _check_twist(d, D)
     cl = classes_square(dD)
     total = 0.0 + 0.0j
+    quad_err = 0.0
     for Q in cl.reps:
         ch = chi_D(D, Q)
         if ch == 0:
             continue
-        if Q.a == 0:
-            if route == "semicircle":
-                Qs = _semicircle_equivalent(Q)
-                contrib = _cusp_integral_semicircle(m, Qs)
-            else:
-                contrib = _cusp_integral_vertical(m, Q)
+        if Q.a == 0 and route == "vertical":
+            contrib, abserr = _cusp_integral_vertical(m, Q)
         else:
-            contrib = _cusp_integral_semicircle(m, Q)
+            Qs = _semicircle_equivalent(Q) if Q.a == 0 else Q
+            contrib, abserr = _cusp_integral_semicircle(m, Qs)
         total += ch * contrib
+        quad_err += abserr
     # dtau_Q = sqrt(dD) dtau / Q(tau,1): divide by sqrt(dD) once, here
     total /= 2 * math.pi * b
     if abs(total.imag) > IMAG_RESIDUE_TOL:
         raise ArithmeticError(f"imaginary residue {total.imag} in trace_square({d},{D},{m})")
-    # endpoint clip + vertical tail + quadrature, all scaled out of 2 pi b
+    # endpoint clip + vertical tail + quadrature + quad's abserr, all scaled out of 2 pi b
     err = (
         len(cl.reps)
         * (2 * THETA_EPS * 4 * math.pi * m + 8 * math.pi * m * math.exp(-T_VERTICAL) + QUAD_TOL)
-        / (2 * math.pi * b)
-    )
+        + quad_err
+    ) / (2 * math.pi * b)
     return TraceResult(
         value=total.real,
         d=d,

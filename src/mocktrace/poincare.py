@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import bessel_I, bessel_I_vec, gamma_real
+from .arith import bessel_I, bessel_I_vec, gamma_real, inverse_mod
 from .modfun import cusp_matrix
 from .qform import QuadForm, apply, chi_D, classes_square
 
@@ -39,19 +39,6 @@ PANELS_PER_UNIT = 2.5
 GAUSS_NODES = 16
 
 
-def _inverse_mod(d: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """a in [0, c) with a d = 1 mod c, for coprime c >= 1: extended Euclid on arrays."""
-    r0, r1 = c.copy(), d % c
-    t0, t1 = np.zeros_like(c), np.ones_like(c)
-    live = np.flatnonzero(r1)
-    while live.size:
-        q = r0[live] // r1[live]
-        r0[live], r1[live] = r1[live], r0[live] - q * r1[live]
-        t0[live], t1[live] = t1[live], t0[live] - q * t1[live]
-        live = live[r1[live] != 0]
-    return t0 % c
-
-
 @lru_cache(maxsize=4)
 def _coset_arrays(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bottom rows and top-left entries as read-only arrays (C, D, A), identity first.
@@ -66,7 +53,7 @@ def _coset_arrays(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     coprime = np.gcd(c, d) == 1
     C = np.concatenate(([0], np.broadcast_to(c, coprime.shape)[coprime]))
     D = np.concatenate(([1], np.broadcast_to(d, coprime.shape)[coprime]))
-    A = np.concatenate(([1], _inverse_mod(D[1:], C[1:])))
+    A = np.concatenate(([1], inverse_mod(D[1:], C[1:])))
     for arr in (C, D, A):
         arr.flags.writeable = False
     return C, D, A

@@ -14,9 +14,9 @@ sieve, and by CRT R(c) is a sign times the product, over the prime powers
 q || 4c, of local sums over the square roots of dD mod q.  chi_D is the
 product of the Kronecker characters of the prime discriminants of D, and
 each of those splits into the sign on c and a weight on the local roots at
-its own prime.  The local roots are found once per prime power and per
-call, for the prime powers the call's moduli can have.  All moduli 4c must
-lie inside the sieve: c_max <= C_MAX_LIMIT.
+its own prime.  Each call builds its table of local roots in numpy, for
+the prime powers its moduli can have (Tonelli-Shanks and Hensel on arrays
+of primes).  All moduli 4c must lie inside the sieve: c_max <= C_MAX_LIMIT.
 
 On top of K+ sit the series b(d, D, s), the extrapolated coefficients
 a(d, D), the spectral sides of the trace identity, and the divisor-sum
@@ -40,6 +40,7 @@ from .arith import (
     divisors,
     eps,
     gamma_real,
+    inverse_mod,
     is_fundamental_discriminant,
     kronecker,
     zeta_real,
@@ -59,7 +60,7 @@ SIEVE_MAX = 810_000
 # every modulus 4c must be factorable through the sieve
 C_MAX_LIMIT = (SIEVE_MAX - 1) // 4
 MODULUS_LIMIT = 4 * C_MAX_LIMIT
-# the series complete their tails from checkpoints at c >= C_MAX_FLOOR
+# the smallest c_max a series accepts
 C_MAX_FLOOR = 100
 KP_IMAG_TOL = 1e-9
 ROOT_SUM_BLOCK = 4096
@@ -78,7 +79,7 @@ class SeriesValue:
 
 
 # ----------------------------------------------------------------------
-# square roots modulo prime powers via Tonelli-Shanks + Hensel
+# square roots modulo prime powers: Tonelli-Shanks and Hensel on arrays
 # ----------------------------------------------------------------------
 
 _spf = None
@@ -116,49 +117,47 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _tonelli_shanks(a: int, p: int) -> int | None:
-    """A square root of a mod odd prime p, or None; a must be coprime to p."""
-    a %= p
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # p = 1 mod 4: standard two-adic descent
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
-    x = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        x = x * b % p
-        t = t * b * b % p
-        c = b * b % p
-        m = i
-    return x
+def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """Elementwise base^exp mod mod, for moduli below 2^31."""
+    out = np.ones_like(base)
+    base = base % mod
+    for bit in exp >> np.arange(int(exp.max(initial=0)).bit_length())[:, None] & 1:
+        out *= base**bit
+        out %= mod
+        base = base * base % mod
+    return out
 
 
-def _sqrt_mod_odd_prime_power(a: int, p: int, k: int) -> list[int]:
-    """All solutions of x^2 = a mod p^k for odd p, a coprime to p."""
-    r = _tonelli_shanks(a, p)
-    if r is None:
-        return []
-    pk = p
-    for _ in range(k - 1):
-        # Hensel: r -> r - (r^2 - a)/(2r) mod p^{j+1}
-        pk *= p
-        r = (r - (r * r - a) * pow(2 * r, -1, pk)) % pk
-    return sorted({r, pk - r})
+def _odd_roots(a: int, p: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """A square root of a mod p^k per entry (odd prime p not dividing a), -1 where none.
+
+    Tonelli-Shanks masked over the primes by s, p - 1 = Q 2^s: g = z^Q for a
+    non-residue z, x = a^((Q+1)/2) and t = a^Q keep x^2 = a t, and pass
+    j = s-1 .. 1 takes x, t to x g, t g^2 where t has order 2^j, then g to g^2.
+    A non-residue leaves x^2 != a mod p; roots are Hensel-lifted to p^k."""
+    s = np.frexp((p - 1) & (1 - p))[1] - 1  # 2^s || p - 1, exact in float
+    Q = (p - 1) >> s
+    z, todo, cand = np.zeros_like(p), (s > 1).nonzero()[0], 2
+    while todo.size:
+        found = _powmod(np.full_like(todo, cand), (p[todo] - 1) // 2, p[todo]) == p[todo] - 1
+        z[todo[found]], todo, cand = cand, todo[~found], cand + 1
+    x, t, g = _powmod(np.concatenate((np.full(2 * p.size, a), z)),
+                      np.concatenate(((Q + 1) // 2, Q, Q)),
+                      np.concatenate((p, p, p))).reshape(3, -1)
+    for j in range(int(s.max(initial=1)) - 1, 0, -1):
+        i = (s > j).nonzero()[0]
+        w = t[i]
+        for _ in range(j - 1):
+            w = w * w % p[i]
+        f = i[w != 1]
+        x[f], t[f] = x[f] * g[f] % p[f], t[f] * g[f] % p[f] * g[f] % p[f]
+        g[i] = g[i] * g[i] % p[i]
+    ok = x * x % p == a % p
+    for j in range(1, int(k.max(initial=1))):
+        i = (ok & (k > j)).nonzero()[0]
+        q = p[i] ** (j + 1)
+        x[i] = (x[i] - (x[i] ** 2 - a) % q * inverse_mod(2 * x[i], q)) % q
+    return np.where(ok, x, -1)
 
 
 def _sqrt_mod_2_power(a: int, k: int) -> list[int]:
@@ -166,9 +165,7 @@ def _sqrt_mod_2_power(a: int, k: int) -> list[int]:
     q = 1 << k
     if k == 1:
         return [1]
-    if k == 2:
-        return [1, 3] if a % 4 == 1 else []
-    if a % 8 != 1:
+    if a % min(q, 8) != 1:
         return []
     r = 1
     for j in range(3, k):
@@ -178,6 +175,7 @@ def _sqrt_mod_2_power(a: int, k: int) -> list[int]:
 
 
 def _sqrt_mod_prime_power(a: int, p: int, k: int) -> list[int]:
+    """All solutions of x^2 = a mod p^k, sorted."""
     q = p**k
     a %= q
     if a == 0:
@@ -191,18 +189,13 @@ def _sqrt_mod_prime_power(a: int, p: int, k: int) -> list[int]:
         return []
     # x = p^{e/2} y with y^2 = a / p^e mod p^{k-e}
     h = e // 2
-    prim = (
-        _sqrt_mod_2_power(a, k - e) if p == 2 else _sqrt_mod_odd_prime_power(a, p, k - e)
-    )
-    if not prim:
-        return []
+    if p == 2:
+        prim = _sqrt_mod_2_power(a, k - e)
+    else:
+        r = int(_odd_roots(a, np.array([p]), np.array([k - e]))[0])
+        prim = [] if r < 0 else [r, p ** (k - e) - r]
     period = p ** (k - e + h)  # p^{e/2} y repeats mod p^{k - e/2}
-    out = set()
-    for y in prim:
-        x0 = p**h * y
-        for j in range(p**h):
-            out.add((x0 + j * period) % q)
-    return sorted(out)
+    return sorted({(p**h * y + j * period) % q for y in prim for j in range(p**h)})
 
 
 # ----------------------------------------------------------------------
@@ -375,16 +368,6 @@ def _dirichlet_T(d: int, w: float) -> float:
     return L / zeta_real(2 * w) * total
 
 
-def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """Elementwise base^exp mod mod, for moduli below 2^31."""
-    out = np.ones_like(base)
-    base = base % mod
-    for bit in range(int(exp.max()).bit_length()):
-        out = np.where(exp >> bit & 1, out * base % mod, out)
-        base = base * base % mod
-    return out
-
-
 def _prime_discriminants(D: int) -> list[int]:
     """The prime discriminants whose product is the fundamental discriminant D.
 
@@ -406,42 +389,54 @@ def _prime_discriminants(D: int) -> list[int]:
     return out + [two] if two != 1 else out
 
 
-def _prime_powers(c_max: int) -> list[tuple[int, int]]:
-    """(p, k) with p^k || 4c, c <= c_max, by value: odd p^k <= c_max and 4 <= 2^k <= 4 c_max."""
+def _prime_powers(c_max: int) -> np.ndarray:
+    """Rows (p, k), p^k || 4c for c <= c_max, by value: odd p^k <= c_max, 4 <= 2^k <= 4 c_max."""
     spf = _spf_sieve()
     ns = np.arange(3, c_max + 1)
-    odd_primes = ns[spf[3 : c_max + 1] == ns]
-    factors = [(2, k) for k in range(2, (4 * c_max).bit_length())]
-    for p in odd_primes.tolist():
-        q, k = p, 1
-        while q <= c_max:
-            factors.append((p, k))
-            q, k = q * p, k + 1
-    return sorted(factors, key=lambda pk: pk[0] ** pk[1])
+    p = ns[spf[3 : c_max + 1] == ns]
+    two = np.arange(2, (4 * c_max).bit_length())
+    rows = [np.column_stack((np.full_like(two, 2), two))]
+    for k in range(1, c_max.bit_length()):
+        p = p[p**k <= c_max]
+        rows.append(np.column_stack((p, np.full_like(p, k))))
+    rows = np.concatenate(rows)
+    return rows[np.argsort(rows[:, 0] ** rows[:, 1])]
 
 
-def _local_root_table(a: int, factors: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _local_root_table(a: int, factors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The square roots of a modulo each prime power p^k of `factors`, sorted by value.
 
     Returns (q, start, roots) with q sorted and the roots of a mod q[i] in
-    roots[start[i]:start[i + 1]].
+    roots[start[i]:start[i + 1]]: +-r from _odd_roots for the odd p not
+    dividing a, _sqrt_mod_prime_power for p = 2 and the p dividing a.
     """
-    local = [_sqrt_mod_prime_power(a, p, k) for p, k in factors]
-    qs = np.array([p**k for p, k in factors], dtype=np.int64)
-    start = np.zeros(len(local) + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in local], out=start[1:])
-    roots = np.fromiter((r for rs in local for r in rs), dtype=np.int64, count=int(start[-1]))
+    p, k = np.asarray(factors, dtype=np.int64).reshape(-1, 2).T
+    qs = p**k
+    bulk = (p > 2) & (a % p != 0)
+    odd, rest = bulk.nonzero()[0], (~bulk).nonzero()[0]
+    r = _odd_roots(a, p[odd], k[odd])
+    odd, r = odd[r >= 0], r[r >= 0]
+    local = [_sqrt_mod_prime_power(a, *pk) for pk in zip(p[rest].tolist(), k[rest].tolist())]
+    count = np.zeros(qs.size + 1, dtype=np.int64)
+    count[odd + 1] = 2
+    count[rest + 1] = [len(x) for x in local]
+    start = np.cumsum(count)
+    roots = np.empty(start[-1], dtype=np.int64)
+    roots[start[odd]] = np.minimum(r, qs[odd] - r)
+    roots[start[odd] + 1] = np.maximum(r, qs[odd] - r)
+    for i, rs in zip(start[rest].tolist(), local):
+        roots[i : i + len(rs)] = rs
     return qs, start, roots
 
 
-def _local_sums(M, q, p, m, table) -> np.ndarray:
+def _local_sums(M, q, m, table) -> np.ndarray:
     """sum over r^2 = dD mod q of w(r) e(r t / q), t = 2m (M/q)^-1 mod q, per pair (M, q).
 
     w(r) is the root's genus weight, 1 when the table carries none.
     """
-    qs, start, roots, weights = table
-    t = (2 * m) % q * _powmod(M // q, q - q // p - 1, q) % q
-    pos = np.searchsorted(qs, q)
+    index, start, roots, weights = table
+    t = (2 * m) % q * inverse_mod(M // q, q) % q
+    pos = index[q]
     first, count = start[pos], start[pos + 1] - start[pos]
     pair = np.repeat(np.arange(q.size), count)
     at = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(pair.size)
@@ -462,7 +457,7 @@ def _root_sum_block(c: np.ndarray, m: int, table) -> np.ndarray:
     """
     spf = _spf_sieve()
     low = c & -c
-    passes = [(np.arange(c.size), 4 * low, np.full_like(c, 2))]  # the 2-part of 4c
+    passes = [(np.arange(c.size), 4 * low)]  # the 2-part of 4c
     rest = c // low
     idx = np.flatnonzero(rest > 1)
     while idx.size:
@@ -472,13 +467,13 @@ def _root_sum_block(c: np.ndarray, m: int, table) -> np.ndarray:
         while (more := n % p == 0).any():
             q[more] *= p[more]
             n[more] //= p[more]
-        passes.append((idx, q, p))
+        passes.append((idx, q))
         rest[idx] = n
         idx = idx[n > 1]
-    owner, q, p = (np.concatenate(parts) for parts in zip(*passes))
-    L = _local_sums(4 * c[owner], q, p, m, table)
+    owner, q = (np.concatenate(parts) for parts in zip(*passes))
+    L = _local_sums(4 * c[owner], q, m, table)
     R, at = L[: c.size], c.size
-    for idx, _, _ in passes[1:]:
+    for idx, _ in passes[1:]:
         R[idx] *= L[at : at + idx.size]
         at += idx.size
     return R
@@ -498,8 +493,9 @@ def _root_sums(d: int, D: int, c: np.ndarray, m: int, factors: list) -> np.ndarr
     on each square root r of dD mod q.  R(c) is the sign times the CRT
     product of the weighted local root sums (_root_sum_block), for every
     modulus alike.  The table of local roots holds the prime powers
-    `factors` (sorted by value, covering every q || 4c) and lives for one
-    call only; the moduli are processed in blocks of ROOT_SUM_BLOCK.
+    `factors` (sorted by value, covering every q || 4c) with a dense index
+    from q to its row, and lives for one call; the moduli are processed in
+    blocks of ROOT_SUM_BLOCK.
     """
     if is_fundamental_discriminant(D):
         dd, DD = d, D
@@ -522,7 +518,9 @@ def _root_sums(d: int, D: int, c: np.ndarray, m: int, factors: list) -> np.ndarr
         sign *= chi[cp % chi.size]
         at = q % (8 if p == 2 else p) == 0  # the roots mod q = p^k with p | c
         weights[at] *= chi[(roots[at] * roots[at] - a) // q[at] % chi.size]
-    table = (qs, start, roots, weights)
+    index = np.zeros(qs[-1] + 1, dtype=np.int32)
+    index[qs] = np.arange(qs.size)
+    table = (index, start, roots, weights)
     out = np.empty(c.size)
     for lo in range(0, c.size, ROOT_SUM_BLOCK):
         block = slice(lo, lo + ROOT_SUM_BLOCK)
@@ -568,15 +566,15 @@ def _complete_tail(terms: np.ndarray, weights: np.ndarray, tail) -> tuple[float,
 
     The terms (root sums) have a stable nonzero mean, so a bare truncation
     drifts.  The last-half empirical mean rho stands in for the missing
-    terms: at each of 12 checkpoints X, the partial sum up to X gets
-    rho * tail(X + 1/2), where tail(x) is the integral of the smooth weight
-    from x to infinity.  Returns the mean of the corrected partial sums,
-    half their spread, and rho.
+    terms: at each of 12 checkpoints X from c_max // 10 to c_max, the
+    partial sum up to X gets rho * tail(X + 1/2), where tail(x) is the
+    integral of the smooth weight from x to infinity.  Returns the mean of
+    the corrected partial sums, half their spread, and rho.
     """
     c_max = terms.size
     partials = np.cumsum(terms * weights)
     rho = float(np.mean(terms[c_max // 2 :]))
-    checkpoints = np.unique(np.linspace(max(c_max // 10, C_MAX_FLOOR), c_max, 12).astype(int))
+    checkpoints = np.unique(np.linspace(c_max // 10, c_max, 12).astype(int))
     corrected = np.array([partials[X - 1] + rho * tail(X + 0.5) for X in checkpoints])
     spread = 0.5 * float(np.max(corrected) - np.min(corrected))
     return float(np.mean(corrected)), spread, rho

@@ -19,6 +19,7 @@ from mocktrace.arith import (
     divisors,
     eps,
     gamma_real,
+    inverse_mod,
     is_fundamental_discriminant,
     kronecker,
     pell_fundamental,
@@ -281,6 +282,52 @@ class TestBesselIVecTwoTier:
             for x, v in zip(map(float, xs), got):
                 ref = float(mpmath.besseli(1.5, x))
                 assert v == pytest.approx(ref, rel=1e-14, abs=0.0), x
+
+
+class TestBesselJVecSeries:
+    """Arguments below 0.05 take four terms of the ascending series, the rest scipy."""
+
+    @pytest.mark.parametrize("nu", [0.5, 0.7, 0.9, 1.5])
+    def test_straddling_the_split(self, nu):
+        rng = np.random.default_rng(12)
+        xs = np.concatenate(
+            ([0.05, 0.05 * (1 - 1e-9), 0.05 * (1 + 1e-9), 1e-300, 1e-12],
+             np.geomspace(1e-8, 0.2, 60), rng.uniform(0.02, 0.08, 60))
+        )
+        got = bessel_J_vec(nu, xs)
+        with mpmath.workdps(30):
+            for x, v in zip(map(float, xs), got):
+                ref = float(mpmath.besselj(nu, x))
+                assert v == pytest.approx(ref, rel=1e-14, abs=0.0), (nu, x)
+
+    def test_zero_and_shape(self):
+        assert bessel_J_vec(0.0, np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
+        assert bessel_J_vec(0.5, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+        assert bessel_J_vec(0.5, np.ones((2, 3))).shape == (2, 3)
+
+
+class TestInverseMod:
+    """The one vectorized modular inverse against Python's pow(x, -1, q)."""
+
+    @pytest.mark.parametrize(
+        "q", [2**k for k in range(1, 23)] + [3, 3**13, 5**8, 7**7, 997**2, 65537, 809_993]
+    )
+    def test_matches_pow(self, q):
+        rng = np.random.default_rng(q)
+        x = rng.integers(1, 10 * q, 200)
+        x = x[np.gcd(x, q) == 1]
+        got = inverse_mod(x, np.full_like(x, q))
+        assert got.tolist() == [pow(v, -1, q) for v in x.tolist()]
+
+    def test_mixed_moduli(self):
+        # one call over many moduli at once, as the root sums make it
+        rng = np.random.default_rng(13)
+        q = rng.integers(1, 810_000, 5000)
+        x = rng.integers(1, 810_000, 5000)
+        keep = np.gcd(x, q) == 1
+        x, q = x[keep], q[keep]
+        got = inverse_mod(x, q)
+        assert got.tolist() == [pow(a, -1, b) for a, b in zip(x.tolist(), q.tolist())]
 
 
 class TestFundamentalDiscriminant:

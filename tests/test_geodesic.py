@@ -4,6 +4,7 @@ import math
 from collections import Counter
 
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from mocktrace import geodesic
 from mocktrace.arith import pell_fundamental
@@ -143,6 +144,23 @@ class TestTraceSquare:
     def test_m2_frozen_value(self):
         res = trace_square(1, 1, 2)
         assert res.value == pytest.approx(-56.0151169, abs=1e-3)
+
+    def test_budget_carries_quad_abserr(self, monkeypatch):
+        # (1, 1, 3) exhausts quad's subdivisions; the abserr quad reports
+        # then, in the trace's units (1 / 2 pi b, b = 1), must be in the budget
+        abserrs = []
+        inner = geodesic.quad
+
+        def recording(*args, **kwargs):
+            value, abserr = inner(*args, **kwargs)
+            abserrs.append(abserr)
+            return value, abserr
+
+        monkeypatch.setattr(geodesic, "quad", recording)
+        with pytest.warns(IntegrationWarning, match="maximum number of subdivisions"):
+            res = trace_square(1, 1, 3)
+        assert max(abserrs) > 1.0
+        assert res.err_estimate >= sum(abserrs) / (2 * math.pi)
 
     def test_d4_value(self):
         res = trace_square(4, 1, 1)

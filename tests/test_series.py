@@ -56,6 +56,42 @@ class TestSqrtsMod:
         assert _sqrt_mod_prime_power(4, 2, 4) == [2, 6, 10, 14]
 
 
+class TestLocalRootTable:
+    """The batched root table against a brute-force table of squares."""
+
+    def test_every_prime_power_to_5000(self):
+        # a <= 200 takes in multiples of every small p (the scalar path),
+        # squares, zero and, below 0, the dD < 0 of a swapped d/D pair; the
+        # last a exceed every q
+        factors = sorted(
+            ((p, k) for p in range(2, 5001) if series.factorize(p) == [(p, 1)]
+             for k in range(1, 13) if p**k <= 5000),
+            key=lambda pk: pk[0] ** pk[1],
+        )
+        squares = {}
+        for p, k in factors:
+            q = p**k
+            sq = np.arange(q) ** 2 % q
+            order = np.argsort(sq, kind="stable")  # roots ascending within a residue
+            squares[q] = (order, sq[order])
+        for a in (*range(-20, 201), 328, 2_042_040 * 5, -2_042_040):
+            qs, start, roots = series._local_root_table(a, factors)
+            assert qs.tolist() == [p**k for p, k in factors]
+            for i, q in enumerate(qs.tolist()):
+                order, sq = squares[q]
+                lo, hi = np.searchsorted(sq, [a % q, a % q + 1])
+                assert roots[start[i] : start[i + 1]].tolist() == order[lo:hi].tolist(), (a, q)
+
+
+class TestPrimePowers:
+    @pytest.mark.parametrize("c_max", [1, 2, 100, 3000])
+    def test_matches_definition(self, c_max):
+        # every p^k || 4c for some c <= c_max, by value
+        want = {pk for c in range(1, c_max + 1) for pk in series.factorize(4 * c)}
+        got = series._prime_powers(c_max).tolist()
+        assert sorted(want, key=lambda pk: pk[0] ** pk[1]) == [tuple(pk) for pk in got]
+
+
 class TestSpfSieve:
     def test_matches_brute_force_below_1e5(self):
         n_max = 10**5
@@ -342,14 +378,21 @@ class TestModulusCeiling:
         ],
     )
     def test_small_c_max_rejected(self, no_work, call):
-        # the tail checkpoints start at c = 100
+        # the series accept c_max from 100 on
         with pytest.raises(ValueError, match="c_max must be at least 100, got"):
             call()
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_smallest_c_max_accepted(self, m):
         sv = prop1_rhs(1, 1, m, 2.0, c_max=100)
-        assert sv.c_max == 100 and math.isfinite(sv.value) and sv.tail_estimate >= 0
+        assert sv.c_max == 100 and math.isfinite(sv.value) and sv.tail_estimate > 0
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_smallest_c_max_tail_covers_its_gap(self, m):
+        # the tail checkpoints run from c_max // 10, so c_max = 100 still
+        # measures a spread; it must cover the distance to c_max = 10,000
+        small, large = prop1_rhs(1, 1, m, 2.0, c_max=100), prop1_rhs(1, 1, m, 2.0, c_max=10_000)
+        assert small.tail_estimate >= abs(small.value - large.value) > 0
 
     @pytest.mark.parametrize(
         "kwargs, message",
