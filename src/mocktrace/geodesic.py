@@ -1,9 +1,12 @@
-"""Geodesic cycles and the trace integrals attached to quadratic forms.
+"""The trace integrals attached to quadratic forms.
 
 Three regimes, split by the discriminant of the twisted family: CM point
 sums (negative), closed-geodesic cycle integrals (positive nonsquare), and
 convergent cusp-to-cusp integrals of the corrected functions j_{m,Q}
-(positive square).  All quadrature is adaptive Gauss-Kronrod via scipy.
+(positive square).  A geodesic S_Q with a != 0 is the semicircle
+c0 + r e^{i theta} and is integrated over theta; the a = 0 representative
+of a square discriminant is the line Re tau = 0, integrated over
+t = log Im tau.  All quadrature is adaptive Gauss-Kronrod via scipy.
 """
 
 from __future__ import annotations
@@ -29,9 +32,7 @@ from .qform import (
 )
 
 __all__ = [
-    "GeodesicCycle",
     "TraceResult",
-    "geodesic_cycle",
     "cycle_integral_closed",
     "trace_negative",
     "trace_nonsquare",
@@ -57,24 +58,6 @@ CM_IMAG_RESIDUE_REL = 1e-12
 
 
 @dataclass
-class GeodesicCycle:
-    """A parametrized piece of the geodesic S_Q used for one cycle integral."""
-
-    form: QuadForm
-    kind: str  # "closed" | "cusp_to_cusp" | "vertical_line"
-    apex: complex
-    theta_range: tuple[float, float] | None = None
-    orientation: int = 1
-
-    def point(self, param: float) -> complex:
-        if self.kind == "vertical_line":
-            return complex(0.0, math.exp(param))
-        c0 = self.apex.real
-        r = self.apex.imag
-        return complex(c0 + r * math.cos(param), r * math.sin(param))
-
-
-@dataclass
 class TraceResult:
     value: float
     d: int
@@ -91,47 +74,13 @@ def _check_twist(d: int, D: int) -> None:
             raise ValueError(f"{name} = {v} is not congruent to 0 or 1 mod 4")
 
 
-def geodesic_cycle(Q: QuadForm) -> GeodesicCycle:
-    """The parametrized cycle for a form of positive discriminant."""
-    d = Q.disc
-    if d <= 0:
-        raise ValueError(f"geodesic requires positive discriminant, got {d}")
-    rt = math.isqrt(d)
-    square = rt * rt == d
-    if Q.a == 0:
-        if not square:
-            raise ValueError(f"form {Q} with a = 0 must have square discriminant")
-        return GeodesicCycle(Q, "vertical_line", complex(0.0, 1.0))
-    c0 = -Q.b / (2 * Q.a)
-    r = math.sqrt(d) / (2 * abs(Q.a))
-    apex = complex(c0, r)
-    if square:
-        return GeodesicCycle(
-            Q,
-            "cusp_to_cusp",
-            apex,
-            theta_range=(THETA_EPS, math.pi - THETA_EPS),
-            orientation=1 if Q.a > 0 else -1,
-        )
-    g = automorph_generator(Q)
-    end = g.moebius(apex)
-    theta_end = math.atan2(end.imag - 0.0, end.real - c0)
-    # end lies on the same semicircle, so theta_end in (0, pi)
-    return GeodesicCycle(
-        Q,
-        "closed",
-        apex,
-        theta_range=(math.pi / 2, theta_end),
-        orientation=1 if Q.a > 0 else -1,
-    )
-
-
 def _quad_complex(f: Callable[[float], complex], a: float, b: float):
     """int_a^b f as two real quad passes over one integrand memoized on the node.
 
     Returns the integral, the sum of the passes' abserr and the memoized
     integrand.  (quad's complex_func option is avoided: it loses the sign of
-    reversed limits, and closed cycles run from pi/2 down to theta_end.)
+    reversed limits, and closed cycles run from pi/2 down to the angle of
+    the automorph image of the apex.)
     """
     memo: dict[float, complex] = {}
 
@@ -156,17 +105,34 @@ def cycle_integral_closed(Q: QuadForm, integrand: Callable[[complex], complex]) 
     return _cycle_integral_closed(Q, integrand)[0]
 
 
+def _semicircle_integral(Q: QuadForm, f, th0: float, th1: float):
+    """sign(a) int_th0^th1 f(c0 + r e^{i theta}) dtheta / sin(theta) along S_Q.
+
+    Returns the integral, quad's abserr and the memoized theta-integrand
+    (without the sign).
+    """
+    c0 = -Q.b / (2 * Q.a)
+    r = math.sqrt(Q.disc) / (2 * abs(Q.a))
+    total, abserr, g = _quad_complex(
+        lambda theta: f(complex(c0 + r * math.cos(theta), r * math.sin(theta))) / math.sin(theta),
+        th0,
+        th1,
+    )
+    return (1 if Q.a > 0 else -1) * total, abserr, g
+
+
 def _cycle_integral_closed(Q: QuadForm, integrand) -> tuple[complex, float]:
     """cycle_integral_closed and quad's abserr on the same scale."""
     d = Q.disc
     if d <= 0 or math.isqrt(d) ** 2 == d:
         raise ValueError(f"closed cycles need a positive nonsquare discriminant, got {d}")
-    cyc = geodesic_cycle(Q)
-    th0, th1 = cyc.theta_range
-    total, abserr, _ = _quad_complex(
-        lambda theta: integrand(cyc.point(theta)) / math.sin(theta), th0, th1
+    c0 = -Q.b / (2 * Q.a)
+    end = automorph_generator(Q).moebius(complex(c0, math.sqrt(d) / (2 * abs(Q.a))))
+    # end lies on the same semicircle, so its angle is in (0, pi)
+    total, abserr, _ = _semicircle_integral(
+        Q, integrand, math.pi / 2, math.atan2(end.imag, end.real - c0)
     )
-    return cyc.orientation * total / math.sqrt(d), abserr / math.sqrt(d)
+    return total / math.sqrt(d), abserr / math.sqrt(d)
 
 
 def trace_negative(d: int, D: int, m: int) -> TraceResult:
@@ -240,30 +206,12 @@ def trace_nonsquare(d: int, D: int, m: int) -> TraceResult:
 
 def _cusp_integral_semicircle(m: int, Q: QuadForm) -> tuple[complex, float]:
     """int j_{m,Q} dtau_Q over the semicircle, theta in (eps, pi - eps), and quad's abserr."""
-    cyc = geodesic_cycle(Q)
-    th0, th1 = cyc.theta_range
-    total, abserr, f = _quad_complex(
-        lambda theta: eval_jmQ(m, Q, cyc.point(theta)) / math.sin(theta), th0, th1
-    )
-    # rectangle-rule estimate for the two clipped endpoint slivers; the
-    # integrand extends continuously to the cusps, so this leaves O(eps^2)
-    sliver = THETA_EPS * (f(th0) + f(th1))
-    return cyc.orientation * (total + sliver), abserr
-
-
-def _cusp_integral_vertical(m: int, Q: QuadForm) -> tuple[complex, float]:
-    """Integral of j_{m,Q}(iy) dy/y over y = e^t, |t| < T, and quad's abserr."""
-    total, abserr, _ = _quad_complex(
-        lambda t: eval_jmQ(m, Q, complex(0.0, math.exp(t))), -T_VERTICAL, T_VERTICAL
-    )
-    return total, abserr
-
-
-def _semicircle_equivalent(Q: QuadForm) -> QuadForm:
-    # [[1,0],[-1,1]] sends [0,b,0] to [b,b,0], moving the vertical line
-    # onto a genuine semicircle while leaving the trace summand unchanged.
-    g = UnimodularMatrix(1, 0, -1, 1)
-    return apply(g, Q)
+    th0, th1 = THETA_EPS, math.pi - THETA_EPS
+    total, abserr, f = _semicircle_integral(Q, lambda tau: eval_jmQ(m, Q, tau), th0, th1)
+    # rectangle-rule estimate for the two clipped endpoint slivers, signed
+    # like the integral; the integrand extends continuously to the cusps,
+    # so this leaves O(eps^2)
+    return total + math.copysign(THETA_EPS, Q.a) * (f(th0) + f(th1)), abserr
 
 
 def trace_square(d: int, D: int, m: int, route: str = "vertical") -> TraceResult:
@@ -292,9 +240,15 @@ def trace_square(d: int, D: int, m: int, route: str = "vertical") -> TraceResult
         if ch == 0:
             continue
         if Q.a == 0 and route == "vertical":
-            contrib, abserr = _cusp_integral_vertical(m, Q)
+            # int j_{m,Q}(iy) dy/y over y = e^t, |t| < T_VERTICAL; the memoized
+            # integrand is dropped here, not held through the next class
+            contrib, abserr = _quad_complex(
+                lambda t: eval_jmQ(m, Q, complex(0.0, math.exp(t))), -T_VERTICAL, T_VERTICAL
+            )[:2]
         else:
-            Qs = _semicircle_equivalent(Q) if Q.a == 0 else Q
+            # [[1,0],[-1,1]] sends [0,b,0] to [b,b,0], moving the vertical line
+            # onto a genuine semicircle while leaving the trace summand unchanged.
+            Qs = apply(UnimodularMatrix(1, 0, -1, 1), Q) if Q.a == 0 else Q
             contrib, abserr = _cusp_integral_semicircle(m, Qs)
         total += ch * contrib
         quad_err += abserr

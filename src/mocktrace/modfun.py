@@ -254,18 +254,12 @@ def _cusp_term(m: int, w: complex) -> complex:
     return 2.0 * math.sinh(2.0 * math.pi * m * w.imag) * cmath.exp(-2j * math.pi * m * w.real)
 
 
-def eval_jmQ(
-    m: int,
-    Q: QuadForm,
-    tau: complex,
-    N: int = N_DEFAULT,
-    v_star: float = V_STAR,
-) -> complex:
+def eval_jmQ(m: int, Q: QuadForm, tau: complex, N: int = N_DEFAULT) -> complex:
     """The cusp-corrected function j_{m,Q} at tau, for Q of square discriminant.
 
     Subtracts, for each root alpha of Q, the term
     2 sinh(2 pi m Im(gamma_alpha tau)) e(-m Re(gamma_alpha tau)).
-    When Im(gamma_alpha tau) > v_star the difference is formed analytically:
+    When Im(gamma_alpha tau) > V_STAR the difference is formed analytically:
     with w = gamma_alpha tau, Gamma-invariance gives j_m(tau) = j_m(w), and
     j_m(w) - 2 sinh(2 pi m Im w) e(-m Re w) = e(-m conj(w)) + sum_{n>0} c_m(n) e(n w),
     so only exponentially small summands are ever combined.
@@ -279,7 +273,7 @@ def eval_jmQ(
         raise ValueError(f"tau must be in the upper half-plane, got {tau}")
     ws = [g.moebius(tau) for g in _cusp_gammas(Q)]
     vmax = max(w.imag for w in ws)
-    if vmax > v_star:
+    if vmax > V_STAR:
         i_big = max(range(len(ws)), key=lambda i: ws[i].imag)
         w = ws[i_big]
         coeffs = _jm_floats(m, N)  # coeffs[n + m] = c_m(n)

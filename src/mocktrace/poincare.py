@@ -270,14 +270,7 @@ def _split_ray_integral(
     return total.real, err + abs(total.imag)
 
 
-def prop1_lhs(
-    d: int,
-    D: int,
-    m: int,
-    s: float,
-    bound: int | None = None,
-    y_max: float | None = None,
-) -> tuple[float, float]:
+def prop1_lhs(d: int, D: int, m: int, s: float, bound: int | None = None) -> tuple[float, float]:
     """Geometric side: sum over classes of chi_D(Q)/B(s) times the cycle integral.
 
     Returns (value, err_estimate).  Vertical-line representatives (a = 0)
@@ -294,8 +287,7 @@ def prop1_lhs(
         raise ValueError(f"m must be nonnegative, got {m}")
     if bound is None:
         bound = BOUND_DEFAULT_S15 if s < 1.75 else BOUND_DEFAULT_S2
-    if y_max is None:
-        y_max = max(20.0, bound / Y_MAX_FRACTION)
+    y_max = max(20.0, bound / Y_MAX_FRACTION)
     total = 0.0
     err = 0.0
     for Q in classes_square(dD).reps:

@@ -300,19 +300,15 @@ def _check_series_c_max(c_max: int, where: str = "") -> None:
     _check_c_max(c_max)
 
 
-def kloosterman_plus(d: int, D: int, modulus: int, method: str = "auto") -> float:
+def kloosterman_plus(d: int, D: int, modulus: int) -> float:
     """The modified Kloosterman sum K+(d, D; 4c), modulus = 4c <= MODULUS_LIMIT.
 
-    method="direct" evaluates the defining sum; "auto" routes through the
-    closed forms (root sums for dD != 0, divisor sums for the degenerate
-    arguments) whenever they apply, falling back to the direct sum.
+    Routes through the closed forms (root sums for dD != 0, divisor sums for
+    the degenerate arguments) whenever they apply, falling back to the
+    defining sum _kp_direct.
     """
     _check_modulus(modulus)
     c = modulus // 4
-    if method == "direct":
-        return _kp_direct(d, D, c)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
     if d == 0 and D == 0:
         r = math.isqrt(c)
         return 4.0 * math.sqrt(c) * _euler_phi(r) if r * r == c else 0.0

@@ -1,5 +1,6 @@
 """Cycle integrals and traces across the three discriminant regimes."""
 
+import cmath
 import math
 from collections import Counter
 
@@ -9,8 +10,9 @@ from scipy.integrate import IntegrationWarning
 from mocktrace import geodesic
 from mocktrace.arith import pell_fundamental
 from mocktrace.geodesic import (
+    _quad_complex,
+    _semicircle_integral,
     cycle_integral_closed,
-    geodesic_cycle,
     trace_negative,
     trace_nonsquare,
     trace_square,
@@ -19,27 +21,36 @@ from mocktrace.qform import QuadForm, classes_nonsquare
 
 
 class TestGeodesicCycle:
-    def test_kind_routing(self):
-        assert geodesic_cycle(QuadForm(0, 2, 0)).kind == "vertical_line"
-        assert geodesic_cycle(QuadForm(1, 2, 0)).kind == "cusp_to_cusp"
-        assert geodesic_cycle(QuadForm(1, 1, -1)).kind == "closed"
+    """The semicircle S_Q that closed and cusp-to-cusp integrals run along."""
 
     def test_negative_disc_rejected(self):
         with pytest.raises(ValueError):
-            geodesic_cycle(QuadForm(1, 0, 1))
+            cycle_integral_closed(QuadForm(1, 0, 1), lambda tau: 1.0)
 
     def test_apex_on_geodesic(self):
-        cyc = geodesic_cycle(QuadForm(1, 1, -1))
-        Q = cyc.form
-        tau = cyc.point(math.pi / 2)
+        Q = QuadForm(1, 1, -1)
+        # the memoized integrand is Q(tau, 1) / sin(theta) at tau(theta)
+        _, _, f = _semicircle_integral(
+            Q, lambda tau: Q.a * tau * tau + Q.b * tau + Q.c, math.pi / 2, math.pi / 4
+        )
+        val = f(math.pi / 2)
         # at the top of the semicircle Q(tau, 1) = -disc / (2a), purely real
-        val = Q.a * tau * tau + Q.b * tau + Q.c
         assert abs(val.imag) < 1e-12
         assert val.real == pytest.approx(-Q.disc / (2 * Q.a), rel=1e-12)
 
 
+class TestQuadComplex:
+    def test_reversed_limits_flip_the_sign(self):
+        # closed cycles integrate from pi/2 down to the automorph image,
+        # so reversed limits must negate both parts
+        fwd = _quad_complex(lambda x: cmath.exp(1j * x), 0.0, 1.0)[0]
+        bwd = _quad_complex(lambda x: cmath.exp(1j * x), 1.0, 0.0)[0]
+        assert fwd == pytest.approx(complex(math.sin(1.0), 1.0 - math.cos(1.0)), rel=1e-12)
+        assert bwd == pytest.approx(-fwd, rel=1e-12)
+
+
 class TestClosedCycleIntegral:
-    @pytest.mark.parametrize("d", [5, 8, 12, 13])
+    @pytest.mark.parametrize("d", [5, 8, 12, 13, 17, 21, 24, 28])
     def test_constant_integrand_gives_regulator(self, d):
         # int dtau_Q over one period equals 2 log eps_d / sqrt(d)
         expected = 2.0 * math.log(pell_fundamental(d).unit) / math.sqrt(d)
@@ -53,11 +64,21 @@ class TestClosedCycleIntegral:
             cycle_integral_closed(QuadForm(1, 2, 0), lambda tau: 1.0)
 
     @pytest.mark.parametrize("d", [5, 8, 12, 13, 17, 21, 24, 28])
-    def test_cycles_run_downward(self, d):
+    def test_cycles_run_downward(self, d, monkeypatch):
         # the path runs from the apex (theta = pi/2) down to the automorph
         # image, so the quadrature limits are reversed
+        limits = []
+        real = geodesic._semicircle_integral
+
+        def spy(Q, f, th0, th1):
+            limits.append((Q, th0, th1))
+            return real(Q, f, th0, th1)
+
+        monkeypatch.setattr(geodesic, "_semicircle_integral", spy)
         for Q in classes_nonsquare(d).reps:
-            th0, th1 = geodesic_cycle(Q).theta_range
+            cycle_integral_closed(Q, lambda tau: 1.0 + 0.0j)
+        assert len(limits) == len(classes_nonsquare(d).reps)
+        for Q, th0, th1 in limits:
             assert th0 == math.pi / 2 and 0 < th1 < th0, (d, Q)
 
 

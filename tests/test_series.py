@@ -11,6 +11,7 @@ from mocktrace import series
 from mocktrace.series import (
     C_MAX_LIMIT,
     MODULUS_LIMIT,
+    _kp_direct,
     _root_sum_array,
     _spf_sieve,
     _sqrt_mod_prime_power,
@@ -110,7 +111,7 @@ class TestKloostermanPlus:
         for d, D in self.GRID:
             for c in range(1, 21):
                 fast = kloosterman_plus(d, D, 4 * c)
-                direct = kloosterman_plus(d, D, 4 * c, method="direct")
+                direct = _kp_direct(d, D, c)
                 assert fast == pytest.approx(direct, abs=1e-8), (d, D, c)
 
     def test_symmetry_in_d_and_D(self):
@@ -127,7 +128,7 @@ class TestKloostermanPlus:
             return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
         for c in range(1, 30):
-            got = kloosterman_plus(0, 0, 4 * c, method="direct")
+            got = _kp_direct(0, 0, c)
             r = math.isqrt(c)
             expected = 4 * math.sqrt(c) * phi(r) if r * r == c else 0.0
             assert got == pytest.approx(expected, abs=1e-8), c
@@ -266,7 +267,7 @@ class TestRootSumArray:
         for d, D in self.GRID:
             R = _root_sum_array(d, D, 128)
             for c in [*range(1, 41), 64, 128]:
-                direct = kloosterman_plus(d, D, 4 * c, method="direct")
+                direct = _kp_direct(d, D, c)
                 assert 2.0 * math.sqrt(c) * R[c - 1] == pytest.approx(direct, abs=1e-8), (d, D, c)
 
     def test_single_modulus_matches_the_array(self):
@@ -418,8 +419,6 @@ class TestModulusCeiling:
     def test_modulus_rejected(self, no_work, modulus):
         with pytest.raises(ValueError, match=f"modulus must be at most {MODULUS_LIMIT}"):
             kloosterman_plus(1, 1, modulus)
-        with pytest.raises(ValueError, match=f"modulus must be at most {MODULUS_LIMIT}"):
-            kloosterman_plus(1, 1, modulus, method="direct")
         with pytest.raises(ValueError, match=f"modulus must be at most {MODULUS_LIMIT}"):
             s_m_sum(1, 1, 1, modulus)
 
