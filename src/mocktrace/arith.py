@@ -3,8 +3,8 @@
 Kronecker symbol, the theta-multiplier unit eps_a, divisor sums, fundamental
 solutions of t^2 - d u^2 = 4, the vectorized modular inverse, and the real
 special functions (Gamma, zeta, Dirichlet L, Bessel J and I of real order)
-that the series and Poincare modules consume.  zeta, L and the Bessel
-functions come from scipy.special, behind the package's own domain checks;
+that the series and Poincare modules consume.  zeta, L and Bessel J come
+from scipy.special, behind the package's own domain checks;
 the vectorized I_nu of the coset sum, and J_nu at small arguments, keep an
 ascending series, which is faster there than scipy's.
 """
@@ -27,7 +27,6 @@ __all__ = [
     "zeta_real",
     "dirichlet_L",
     "bessel_J",
-    "bessel_I",
     "bessel_J_vec",
     "bessel_I_vec",
     "is_fundamental_discriminant",
@@ -230,17 +229,6 @@ def bessel_J(nu: float, x: float) -> float:
     return float(special.jv(nu, x))
 
 
-def bessel_I(nu: float, x: float) -> float:
-    """Modified Bessel function of the first kind, real order nu >= 0."""
-    if x < 0:
-        raise ValueError(f"bessel_I requires x >= 0, got {x}")
-    if nu < 0:
-        raise ValueError(f"bessel_I requires nu >= 0, got {nu}")
-    if x > I_ARG_CEILING:
-        raise ValueError(f"bessel_I argument {x} exceeds overflow ceiling {I_ARG_CEILING}")
-    return float(special.iv(nu, x))
-
-
 def bessel_J_vec(nu: float, x: np.ndarray) -> np.ndarray:
     """J_nu over an array of arguments x >= 0, elementwise as bessel_J.
 
@@ -282,7 +270,7 @@ def _I_series(nu: float, half: np.ndarray, x_stop: float) -> np.ndarray:
 
 
 def bessel_I_vec(nu: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized I_nu by ascending series; same domain and messages as bessel_I.
+    """Modified Bessel I_nu, real order nu >= 0, over an array of x in [0, I_ARG_CEILING].
 
     The relative tail of a fixed series length grows with x, so every entry
     is summed at the length for min(max(x), I_SERIES_SPLIT), and only the
@@ -290,14 +278,14 @@ def bessel_I_vec(nu: float, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     if nu < 0:
-        raise ValueError(f"bessel_I requires nu >= 0, got {nu}")
+        raise ValueError(f"bessel_I_vec requires nu >= 0, got {nu}")
     if x.size == 0:
         return np.empty_like(x)
     lo, hi = float(np.min(x)), float(np.max(x))
     if not lo >= 0:
-        raise ValueError(f"bessel_I requires x >= 0, got {lo}")
+        raise ValueError(f"bessel_I_vec requires x >= 0, got {lo}")
     if hi > I_ARG_CEILING:
-        raise ValueError(f"bessel_I argument {hi} exceeds overflow ceiling {I_ARG_CEILING}")
+        raise ValueError(f"bessel_I_vec argument {hi} exceeds overflow ceiling {I_ARG_CEILING}")
     half = 0.5 * x
     acc = _I_series(nu, half, min(hi, I_SERIES_SPLIT))
     if hi > I_SERIES_SPLIT:

@@ -23,6 +23,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 from . import geodesic, modfun, poincare, qform, series
 
@@ -125,7 +126,7 @@ def _cmd_qforms_list(args) -> int:
 
 
 def _cmd_jm_coeffs(args) -> int:
-    sys.stdout.write(format_jm(args.m, args.n, modfun.jm_coeffs(args.m, args.n).coeffs))
+    sys.stdout.write(format_jm(args.m, args.n, modfun.jm_coeffs(args.m, args.n)))
     return EXIT_OK
 
 
@@ -153,14 +154,14 @@ def _verify_report(name: str, lhs: float, rhs: float, tol: float, relative: bool
 def _cmd_verify_prop1(args) -> int:
     lhs, lhs_err = poincare.prop1_lhs(args.d, args.D, args.m, args.s, args.bound)
     rhs = series.prop1_rhs(args.d, args.D, args.m, args.s, c_max=args.cmax)
-    tol = args.tol if args.tol else (1e-3 if args.m == 0 else 1e-2)
+    tol = args.tol if args.tol is not None else (1e-3 if args.m == 0 else 1e-2)
     return _verify_report("prop1", lhs, rhs.value, tol, relative=True)
 
 
 def _cmd_verify_thm2(args) -> int:
     tr = geodesic.trace_square(args.d, args.D, args.m)
     rhs = series.thm2_rhs(args.d, args.D, args.m)
-    tol = args.tol if args.tol else (rhs.tail_estimate + tr.err_estimate)
+    tol = args.tol if args.tol is not None else (rhs.tail_estimate + tr.err_estimate)
     return _verify_report("thm2", tr.value, rhs.value, tol, relative=False)
 
 
@@ -251,6 +252,21 @@ def _cmax(floor: int):
     return parse
 
 
+def _positive(cast):
+    """A --bound / --tol type: a positive finite int or float."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a positive finite number, got {value}")
+        return value
+
+    return parse
+
+
 class _Deltas(argparse.Action):
     """--deltas: the extrapolation grid, checked by series' own rules at parse time."""
 
@@ -311,16 +327,16 @@ def _build_parser() -> _Parser:
     vp.add_argument("--D", type=int, default=1)
     vp.add_argument("--m", type=int, default=0)
     vp.add_argument("--s", type=float, default=2.0)
-    vp.add_argument("--bound", type=int, default=None)
+    vp.add_argument("--bound", type=_positive(int))
     vp.add_argument("--cmax", type=_cmax(series.C_MAX_FLOOR), default=10_000)
-    vp.add_argument("--tol", type=float, default=None)
+    vp.add_argument("--tol", type=_positive(float))
     vp.set_defaults(func=_cmd_verify_prop1)
 
     vt = vs.add_parser("thm2")
     vt.add_argument("--d", type=int, required=True)
     vt.add_argument("--D", type=int, required=True)
     vt.add_argument("--m", type=int, required=True)
-    vt.add_argument("--tol", type=float, default=None)
+    vt.add_argument("--tol", type=_positive(float))
     vt.set_defaults(func=_cmd_verify_thm2)
 
     vk = vs.add_parser("kloosterman")
@@ -358,7 +374,10 @@ def dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
-    raise SystemExit(dispatch(sys.argv[1:]))
+    # warnings in the user's terms, without the source file and line that raised them
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        raise SystemExit(dispatch(sys.argv[1:]))
 
 
 if __name__ == "__main__":

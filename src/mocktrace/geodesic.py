@@ -19,7 +19,7 @@ from typing import Callable
 from scipy.integrate import quad
 
 from .arith import pell_fundamental
-from .modfun import N_DEFAULT, eval_jm, eval_jmQ
+from .modfun import M_MAX, N_DEFAULT, eval_jm, eval_jmQ
 from .qform import (
     QuadForm,
     UnimodularMatrix,
@@ -66,6 +66,11 @@ class TraceResult:
     method: str
     err_estimate: float
     params: dict = field(default_factory=dict)
+
+
+def _check_m(m: int, lowest: int) -> None:
+    if not lowest <= m <= M_MAX:
+        raise ValueError(f"m must be in [{lowest}, {M_MAX}], got {m}")
 
 
 def _check_twist(d: int, D: int) -> None:
@@ -139,8 +144,7 @@ def trace_negative(d: int, D: int, m: int) -> TraceResult:
     """The CM trace (1/sqrt(D)) sum chi_D(Q)/|Gamma_Q| j_m(tau_Q) over classes."""
     if d >= 0 or D <= 0 or d * D >= 0:
         raise ValueError(f"trace_negative needs d < 0 < D, got d={d}, D={D}")
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+    _check_m(m, 1)
     _check_twist(d, D)
     cl = classes_negative(d * D)
     total = 0.0 + 0.0j
@@ -175,6 +179,7 @@ def trace_nonsquare(d: int, D: int, m: int) -> TraceResult:
     dD = d * D
     if math.isqrt(dD) ** 2 == dD:
         raise ValueError(f"dD = {dD} is a square; use trace_square")
+    _check_m(m, 0)
     _check_twist(d, D)
     cl = classes_nonsquare(dD)
     total = 0.0 + 0.0j
@@ -227,8 +232,7 @@ def trace_square(d: int, D: int, m: int, route: str = "vertical") -> TraceResult
     b = math.isqrt(dD)
     if b * b != dD:
         raise ValueError(f"dD = {dD} is not a square; use trace_nonsquare")
-    if m < 1:
-        raise ValueError(f"m must be positive (the m = 0 integral diverges), got {m}")
+    _check_m(m, 1)  # the m = 0 integral diverges
     if route not in ("vertical", "semicircle"):
         raise ValueError(f"unknown route {route!r}")
     _check_twist(d, D)

@@ -12,18 +12,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import sigma_real
 from .qform import QuadForm, UnimodularMatrix, _xgcd
 
 __all__ = [
-    "QExpansion",
-    "CuspMatrix",
-    "j_coeffs",
     "jm_coeffs",
-    "reduce_to_fundamental",
     "eval_jm",
     "cusp_matrix",
     "eval_jmQ",
@@ -38,23 +33,6 @@ M_MAX = 10
 V_STAR = 2.0
 
 REDUCE_MAX_ITER = 10_000
-
-
-@dataclass
-class QExpansion:
-    """Truncated Fourier series sum_{n >= lead} c(n) q^n with real coefficients."""
-
-    lead: int
-    coeffs: list[float]
-
-    def coeff(self, n: int) -> float:
-        idx = n - self.lead
-        if idx < 0 or idx >= len(self.coeffs):
-            return 0.0
-        return self.coeffs[idx]
-
-    def eval(self, q: complex) -> complex:
-        return _horner(self.coeffs, q, self.lead)
 
 
 def _horner(coeffs, q: complex, lead: int) -> complex:
@@ -96,14 +74,6 @@ def _eta24_over_q(n: int) -> list[int]:
     return _mul_trunc(e12, e12, n)
 
 
-def _eisenstein(weight: int, n: int) -> list[int]:
-    if weight == 4:
-        return [1] + [240 * sigma_real(k, 3) for k in range(1, n)]
-    if weight == 6:
-        return [1] + [-504 * sigma_real(k, 5) for k in range(1, n)]
-    raise ValueError(weight)
-
-
 def _series_inverse(f: list[int], n: int) -> list[int]:
     """Inverse of an integer power series with f[0] = 1."""
     assert f[0] == 1
@@ -121,7 +91,7 @@ def _j_int_coeffs(N: int) -> tuple[int, ...]:
     Computed as E4^3 / Delta; the coefficient list is indexed from q^-1.
     """
     n = N + 2
-    e4 = _eisenstein(4, n)
+    e4 = [1] + [240 * sigma_real(k, 3) for k in range(1, n)]
     num = _mul_trunc(_mul_trunc(e4, e4, n), e4, n)
     den_inv = _series_inverse(_eta24_over_q(n), n)
     return tuple(_mul_trunc(num, den_inv, n))
@@ -167,13 +137,6 @@ def _jm_int_coeffs(m: int, N: int) -> tuple[int, ...]:
     return tuple(prod)
 
 
-def j_coeffs(N: int) -> QExpansion:
-    """q-expansion of the j-invariant through q^N."""
-    if N < 1 or N > N_MAX:
-        raise ValueError(f"N must be in [1, {N_MAX}], got {N}")
-    return QExpansion(-1, [float(c) for c in _j_int_coeffs(N)[: N + 2]])
-
-
 @lru_cache(maxsize=None)
 def _jm_floats(m: int, N: int) -> tuple[float, ...]:
     """The coefficients of j_m from q^-m through q^N as floats, (m, N) validated."""
@@ -184,9 +147,9 @@ def _jm_floats(m: int, N: int) -> tuple[float, ...]:
     return tuple(float(c) for c in _jm_int_coeffs(m, N))
 
 
-def jm_coeffs(m: int, N: int) -> QExpansion:
-    """q-expansion of the Faber basis function j_m through q^N, m <= M_MAX, N <= N_MAX."""
-    return QExpansion(-m if m > 0 else 0, list(_jm_floats(m, N)))
+def jm_coeffs(m: int, N: int) -> list[float]:
+    """The coefficients of j_m from q^-m through q^N, m <= M_MAX, N <= N_MAX, as a new list."""
+    return list(_jm_floats(m, N))
 
 
 def _reduce(tau: complex) -> tuple[int, int, int, int]:
@@ -207,46 +170,30 @@ def _reduce(tau: complex) -> tuple[int, int, int, int]:
     raise RuntimeError("fundamental-domain reduction did not terminate")
 
 
-def reduce_to_fundamental(tau: complex) -> tuple[complex, UnimodularMatrix]:
-    """Move tau to the standard fundamental domain; returns (tau', gamma) with tau' = gamma tau."""
-    gamma = UnimodularMatrix(*_reduce(tau))
-    # one exact-matrix Moebius application avoids accumulated rounding
-    return gamma.moebius(tau), gamma
-
-
-def eval_jm(m: int, tau: complex, N: int = N_DEFAULT) -> complex:
+def eval_jm(m: int, tau: complex) -> complex:
     """Evaluate j_m on the upper half-plane via fundamental-domain reduction."""
     if m == 0:
         return 1.0 + 0.0j
     a, b, c, d = _reduce(tau)
     tau0 = (a * tau + b) / (c * tau + d)  # UnimodularMatrix.moebius
     q = cmath.exp(2j * math.pi * tau0)
-    return _horner(_jm_floats(m, N), q, -m)
+    return _horner(_jm_floats(m, N_DEFAULT), q, -m)
 
 
-@dataclass(frozen=True)
-class CuspMatrix:
-    """A matrix sending the cusp alpha = r/s to infinity (bottom row (s, -r))."""
-
-    alpha_num: int
-    alpha_den: int
-    gamma: UnimodularMatrix
-
-
-def cusp_matrix(r: int, s: int) -> CuspMatrix:
-    """Scaling matrix for the cusp r/s, gcd(r, s) = 1; bottom row exactly (s, -r)."""
+def cusp_matrix(r: int, s: int) -> UnimodularMatrix:
+    """A matrix sending the cusp r/s, gcd(r, s) = 1, to infinity; bottom row exactly (s, -r)."""
     if math.gcd(abs(r), abs(s)) != 1:
         raise ValueError(f"cusp ({r}, {s}) is not in lowest terms")
     # det [[p, q], [s, -r]] = -(p r + q s) = 1
     g, x, y = _xgcd(r, s)
     # r x + s y = 1 -> p = -x, q = -y
-    return CuspMatrix(r, s, UnimodularMatrix(-x, -y, s, -r))
+    return UnimodularMatrix(-x, -y, s, -r)
 
 
 @lru_cache(maxsize=1024)
 def _cusp_gammas(Q: QuadForm) -> tuple[UnimodularMatrix, ...]:
     """The cusp matrices of the roots of Q; Q.roots() rejects a nonsquare Q."""
-    return tuple(cusp_matrix(p, q).gamma for (p, q) in Q.roots())
+    return tuple(cusp_matrix(p, q) for (p, q) in Q.roots())
 
 
 def _cusp_term(m: int, w: complex) -> complex:
@@ -254,7 +201,7 @@ def _cusp_term(m: int, w: complex) -> complex:
     return 2.0 * math.sinh(2.0 * math.pi * m * w.imag) * cmath.exp(-2j * math.pi * m * w.real)
 
 
-def eval_jmQ(m: int, Q: QuadForm, tau: complex, N: int = N_DEFAULT) -> complex:
+def eval_jmQ(m: int, Q: QuadForm, tau: complex) -> complex:
     """The cusp-corrected function j_{m,Q} at tau, for Q of square discriminant.
 
     Subtracts, for each root alpha of Q, the term
@@ -276,18 +223,18 @@ def eval_jmQ(m: int, Q: QuadForm, tau: complex, N: int = N_DEFAULT) -> complex:
     if vmax > V_STAR:
         i_big = max(range(len(ws)), key=lambda i: ws[i].imag)
         w = ws[i_big]
-        coeffs = _jm_floats(m, N)  # coeffs[n + m] = c_m(n)
+        coeffs = _jm_floats(m, N_DEFAULT)  # coeffs[n + m] = c_m(n)
         total = cmath.exp(-2j * math.pi * m * w.conjugate())
         qw = cmath.exp(2j * math.pi * w)
         qn = 1.0 + 0.0j
-        for n in range(1, N + 1):
+        for n in range(1, N_DEFAULT + 1):
             qn *= qw
             total += coeffs[n + m] * qn
         for i, wi in enumerate(ws):
             if i != i_big:
                 total -= _cusp_term(m, wi)
         return total
-    total = eval_jm(m, tau, N)
+    total = eval_jm(m, tau)
     for w in ws:
         total -= _cusp_term(m, w)
     return total

@@ -15,12 +15,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import bessel_I, bessel_I_vec, gamma_real, inverse_mod
+from .arith import bessel_I_vec, gamma_real, inverse_mod
 from .modfun import cusp_matrix
 from .qform import QuadForm, apply, chi_D, classes_square
 
 __all__ = [
-    "phi_ms",
     "eval_Gm",
     "eval_GmQ",
     "prop1_lhs",
@@ -59,22 +58,13 @@ def _coset_arrays(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return C, D, A
 
 
-def phi_ms(m: int, s: float, y: float) -> float:
-    """The test function: y^s for m = 0, the I-Bessel expression otherwise."""
-    if y <= 0:
-        raise ValueError(f"phi_ms requires y > 0, got {y}")
-    if m == 0:
-        return y**s
-    am = abs(m)
-    return 2 * math.pi * math.sqrt(am) * math.sqrt(y) * bessel_I(s - 0.5, 2 * math.pi * am * y)
-
-
 def B_factor(s: float) -> float:
     """B(s) = 2^s Gamma(s/2)^2 / Gamma(s)."""
     return 2.0**s * gamma_real(s / 2) ** 2 / gamma_real(s)
 
 
 def _phi_vec(m: int, s: float, y: np.ndarray) -> np.ndarray:
+    """The test function phi_{m,s}: y^s for m = 0, the I-Bessel expression otherwise."""
     if m == 0:
         return y**s
     am = abs(m)
@@ -258,7 +248,7 @@ def _split_ray_integral(
     err = 0.0
     alpha_plus = (-Q.b + rt) / (2 * Q.a)
     for p, q in Q.roots():
-        gam = cusp_matrix(p, q).gamma
+        gam = cusp_matrix(p, q)
         Qp = apply(gam, Q)
         w0 = gam.moebius(apex)
         val, e = _ray_integral(m, Qp, w0.real, w0.imag, s, bound, y_max)

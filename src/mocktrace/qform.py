@@ -47,9 +47,6 @@ class QuadForm:
     def content(self) -> int:
         return math.gcd(math.gcd(abs(self.a), abs(self.b)), abs(self.c))
 
-    def __neg__(self) -> "QuadForm":
-        return QuadForm(-self.a, -self.b, -self.c)
-
     def roots(self) -> list[tuple[int, int]]:
         """Rational roots of Q(x, y) as primitive vectors (p, q), root = p/q.
 
@@ -100,9 +97,6 @@ class UnimodularMatrix:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def inv(self) -> "UnimodularMatrix":
-        return UnimodularMatrix(self.d, -self.b, -self.c, self.a)
 
     def moebius(self, tau: complex) -> complex:
         return (self.a * tau + self.b) / (self.c * tau + self.d)

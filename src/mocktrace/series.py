@@ -725,13 +725,7 @@ def prop1_rhs(d: int, D: int, m: int, s: float, c_max: int = 10_000) -> SeriesVa
     return SeriesValue(value, c_max, s, spread, {"m": m, "rho": rho})
 
 
-def thm2_rhs(
-    d: int,
-    D: int,
-    m: int,
-    deltas: tuple[float, ...] = DELTAS_DEFAULT,
-    c_max_by_delta: dict | None = None,
-) -> SeriesValue:
+def thm2_rhs(d: int, D: int, m: int) -> SeriesValue:
     """The divisor-sum side: sum over n | m of (D/(m/n)) n a(n^2 D, d)."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
@@ -739,14 +733,14 @@ def thm2_rhs(
         raise ValueError(f"thm2_rhs needs d, D > 0, got d={d}, D={D}")
     if not (D == 1 or is_fundamental_discriminant(D)):
         raise ValueError(f"D must be fundamental, got {D}")
-    c_max = max(cm for _, cm in _delta_grid(deltas, c_max_by_delta))
     total = 0.0
     tail = 0.0
     for n in divisors(m):
         ch = kronecker(D, m // n)
         if ch == 0:
             continue
-        a = coeff_a(n * n * D, d, deltas=deltas, c_max_by_delta=c_max_by_delta)
+        a = coeff_a(n * n * D, d)
         total += ch * n * a.value
         tail += n * a.tail_estimate
-    return SeriesValue(total, c_max, 0.75, tail, {"m": m})
+    # n = m always contributes, as (D/1) = 1
+    return SeriesValue(total, a.c_max, 0.75, tail, {"m": m})

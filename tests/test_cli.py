@@ -221,6 +221,40 @@ class TestCmaxFloor:
         assert f"argument --cmax: must be at least {floor}, got {argv[-1]}" in captured.err
 
 
+class TestVerifyFlags:
+    # --tol and --bound must be positive: a zero tolerance is not the
+    # default, and a zero bound has no coset box
+    THM2 = ["verify", "thm2", "--d", "1", "--D", "1", "--m", "1"]
+
+    @pytest.mark.parametrize(
+        "argv, flag, shown",
+        [
+            ([*THM2, "--tol", "0"], "--tol", "0.0"),
+            ([*THM2, "--tol", "-1"], "--tol", "-1.0"),
+            (["verify", "prop1", "--tol", "0"], "--tol", "0.0"),
+            (["verify", "prop1", "--tol", "nan"], "--tol", "nan"),
+            (["verify", "prop1", "--bound", "0"], "--bound", "0"),
+            (["verify", "prop1", "--bound", "-300"], "--bound", "-300"),
+        ],
+    )
+    def test_non_positive_is_a_usage_error(self, argv, flag, shown, capsys):
+        assert dispatch(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be a positive finite number, got {shown}" in captured.err
+
+
+class TestWarnings:
+    def test_main_prints_warnings_without_source_location(self):
+        # (1, 1, 3) exhausts quad's subdivisions; the warning reaches the
+        # user as its message alone
+        rc, out, err = _fresh_process(["trace", "--d", "1", "--D", "1", "--m", "3"])
+        assert rc == EXIT_OK
+        assert json.loads(out)["method"] == "cusp_cycle"
+        assert err.startswith("warning: The maximum number of subdivisions")
+        assert ".py" not in err and "IntegrationWarning" not in err
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert dispatch(["bogus"]) == EXIT_USAGE

@@ -17,6 +17,7 @@ from mocktrace.geodesic import (
     trace_nonsquare,
     trace_square,
 )
+from mocktrace.modfun import M_MAX
 from mocktrace.qform import QuadForm, classes_nonsquare
 
 
@@ -108,6 +109,23 @@ class TestIntegrandEvaluations:
         calls = self._record(monkeypatch, "eval_jmQ")
         assert trace_square(4, 1, 1, route=route).value == pytest.approx(-19.9933332, abs=1e-4)
         assert calls and max(Counter(calls).values()) == 1
+
+
+class TestMRange:
+    """Each trace routine checks m against its own range before any work."""
+
+    @pytest.mark.parametrize(
+        "trace, d, lowest", [(trace_negative, -3, 1), (trace_nonsquare, 5, 0), (trace_square, 1, 1)]
+    )
+    def test_rejected_up_front(self, monkeypatch, trace, d, lowest):
+        def refuse(*args):
+            raise AssertionError("work started before the m check")
+
+        for name in ("chi_D", "eval_jm", "eval_jmQ"):
+            monkeypatch.setattr(geodesic, name, refuse)
+        for m in (lowest - 1, M_MAX + 1):
+            with pytest.raises(ValueError, match=rf"^m must be in \[{lowest}, {M_MAX}\], got {m}$"):
+                trace(d, 1, m)
 
 
 class TestTraceNegative:

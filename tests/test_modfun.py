@@ -8,31 +8,31 @@ import random
 import mpmath
 import pytest
 
+from mocktrace.arith import sigma_real
 from mocktrace.modfun import (
     M_MAX,
+    N_DEFAULT,
     N_MAX,
     V_STAR,
     _cusp_term,
-    _eisenstein,
     _eta24_over_q,
     _j_int_coeffs,
     _jm_int_coeffs,
     _mul_trunc,
+    _reduce,
     _series_inverse,
     cusp_matrix,
     eval_jm,
     eval_jmQ,
-    j_coeffs,
     jm_coeffs,
-    reduce_to_fundamental,
 )
-from mocktrace.qform import IDENTITY, QuadForm, S, translation
+from mocktrace.qform import IDENTITY, QuadForm, S, UnimodularMatrix, translation
 
 
 def _j_int_coeffs_e6(N: int) -> tuple[int, ...]:
     """Independent route j = E6^2/Delta + 1728, indexed as _j_int_coeffs; an oracle."""
     n = N + 2
-    e6 = _eisenstein(6, n)
+    e6 = [1] + [-504 * sigma_real(k, 5) for k in range(1, n)]
     num = _mul_trunc(e6, e6, n)
     den_inv = _series_inverse(_eta24_over_q(n), n)
     out = list(_mul_trunc(num, den_inv, n))
@@ -42,21 +42,17 @@ def _j_int_coeffs_e6(N: int) -> tuple[int, ...]:
 
 class TestCoefficients:
     def test_j_expansion_classical_values(self):
-        exp = j_coeffs(5)
-        assert exp.coeff(-1) == 1
-        assert exp.coeff(0) == 744
-        assert exp.coeff(1) == 196884
-        assert exp.coeff(2) == 21493760
-        assert exp.coeff(3) == 864299970
-        assert exp.coeff(4) == 20245856256
+        # c(-1), c(0), ..., c(4), exact integers indexed from q^-1
+        assert _j_int_coeffs(5)[:6] == (1, 744, 196884, 21493760, 864299970, 20245856256)
 
     def test_jm_normalization(self):
+        # q^-m + O(q): the list runs from q^-m through q^10
         for m in range(1, 7):
-            exp = jm_coeffs(m, 10)
-            assert exp.lead == -m
-            assert exp.coeff(-m) == 1
+            coeffs = jm_coeffs(m, 10)
+            assert len(coeffs) == m + 11
+            assert coeffs[0] == 1
             for k in range(-m + 1, 1):
-                assert exp.coeff(k) == 0, (m, k)
+                assert coeffs[k + m] == 0, (m, k)
 
     def test_j2_hecke_image_coefficients(self):
         # c_2(n) = c(2n) + sum over the T_2 action: spot-check against the
@@ -76,9 +72,9 @@ class TestCoefficients:
         # every m <= M_MAX, N <= N_MAX works, and a shorter expansion is a
         # prefix of a longer one
         for m in range(M_MAX + 1):
-            full = jm_coeffs(m, N_MAX).coeffs
+            full = jm_coeffs(m, N_MAX)
             for N in range(1, N_MAX + 1):
-                coeffs = jm_coeffs(m, N).coeffs
+                coeffs = jm_coeffs(m, N)
                 assert coeffs == full[: len(coeffs)], (m, N)
 
     def test_exact_duality(self):
@@ -96,12 +92,12 @@ class TestCoefficients:
 
     def test_returned_list_is_a_copy(self):
         tau = complex(0.1, 0.8)
-        before = eval_jm(3, tau, 8)
-        exp = jm_coeffs(3, 8)
-        kept = list(exp.coeffs)
-        exp.coeffs[5] = 1e9
-        assert jm_coeffs(3, 8).coeffs == kept
-        assert eval_jm(3, tau, 8) == before
+        before = eval_jm(3, tau)
+        coeffs = jm_coeffs(3, N_DEFAULT)
+        kept = list(coeffs)
+        coeffs[5] = 1e9
+        assert jm_coeffs(3, N_DEFAULT) == kept
+        assert eval_jm(3, tau) == before
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -115,14 +111,13 @@ class TestReduction:
         rng = random.Random(5)
         for _ in range(100):
             tau = complex(rng.uniform(-8, 8), rng.uniform(0.05, 4.0))
-            tau0, gamma = reduce_to_fundamental(tau)
+            tau0 = UnimodularMatrix(*_reduce(tau)).moebius(tau)
             assert abs(tau0.real) <= 0.5 + 1e-9
             assert abs(tau0) >= 1.0 - 1e-9
-            assert abs(gamma.moebius(tau) - tau0) < 1e-9 * max(1.0, abs(tau0))
 
     def test_lower_half_plane_rejected(self):
         with pytest.raises(ValueError):
-            reduce_to_fundamental(complex(0.0, -1.0))
+            _reduce(complex(0.0, -1.0))
 
     def test_gamma_matches_matrix_product(self):
         # the reduction loop as a product of UnimodularMatrix steps
@@ -141,7 +136,8 @@ class TestReduction:
         rng = random.Random(11)
         for _ in range(300):
             tau = complex(rng.uniform(-20, 20), 10 ** rng.uniform(-3, 1))
-            assert reduce_to_fundamental(tau) == oracle(tau), tau
+            gamma = UnimodularMatrix(*_reduce(tau))
+            assert (gamma.moebius(tau), gamma) == oracle(tau), tau
 
 
 class TestEvalJm:
@@ -173,28 +169,32 @@ class TestEvalJm:
         assert worst < 1e-9
 
 
-def _eval_jm_public(m, tau, N):
-    tau0, _ = reduce_to_fundamental(tau)
-    return jm_coeffs(m, N).eval(cmath.exp(2j * math.pi * tau0))
+def _eval_jm_public(m, tau):
+    """eval_jm rebuilt from the reduction matrix and the coefficient list, Horner from the top."""
+    q = cmath.exp(2j * math.pi * UnimodularMatrix(*_reduce(tau)).moebius(tau))
+    total = 0.0 + 0.0j
+    for c in reversed(jm_coeffs(m, N_DEFAULT)):
+        total = total * q + c
+    return total * q**-m
 
 
-def _eval_jmQ_public(m, Q, tau, N):
+def _eval_jmQ_public(m, Q, tau):
     """eval_jmQ rebuilt from public pieces, with the explicit cusp terms."""
-    ws = [cusp_matrix(p, q).gamma.moebius(tau) for p, q in Q.roots()]
+    ws = [cusp_matrix(p, q).moebius(tau) for p, q in Q.roots()]
     if max(w.imag for w in ws) <= V_STAR:
-        total = _eval_jm_public(m, tau, N)
+        total = _eval_jm_public(m, tau)
         for w in ws:
             total -= _cusp_term(m, w)
         return total
     i_big = max(range(len(ws)), key=lambda i: ws[i].imag)
     w = ws[i_big]
-    exp = jm_coeffs(m, N)
+    coeffs = jm_coeffs(m, N_DEFAULT)  # coeffs[n + m] = c_m(n)
     total = cmath.exp(-2j * math.pi * m * w.conjugate())
     qw = cmath.exp(2j * math.pi * w)
     qn = 1.0 + 0.0j
-    for n in range(1, N + 1):
+    for n in range(1, N_DEFAULT + 1):
         qn *= qw
-        total += exp.coeff(n) * qn
+        total += coeffs[n + m] * qn
     for i, wi in enumerate(ws):
         if i != i_big:
             total -= _cusp_term(m, wi)
@@ -204,18 +204,18 @@ def _eval_jmQ_public(m, Q, tau, N):
 class TestAgainstPublicRoute:
     # the evaluators read cached coefficient tuples and integer matrices;
     # the floating-point operations are the public route's, so results are
-    # bit-equal
-    @pytest.mark.parametrize("N", [8, 48, 64])
-    def test_eval_jm(self, N):
-        rng = random.Random(N)
+    # bit-equal.  The parameter seeds the sampled points.
+    @pytest.mark.parametrize("seed", [8, 48, 64])
+    def test_eval_jm(self, seed):
+        rng = random.Random(seed)
         for m in range(1, M_MAX + 1):
             for y in (0.2, 0.9, 1.7, 2.3, 3.0):
                 tau = complex(rng.uniform(-3, 3), y * rng.uniform(0.9, 1.1))
-                assert eval_jm(m, tau, N) == _eval_jm_public(m, tau, N), (m, tau)
+                assert eval_jm(m, tau) == _eval_jm_public(m, tau), (m, tau)
 
-    @pytest.mark.parametrize("N", [8, 48, 64])
-    def test_eval_jmQ(self, N):
-        rng = random.Random(100 + N)
+    @pytest.mark.parametrize("seed", [8, 48, 64])
+    def test_eval_jmQ(self, seed):
+        rng = random.Random(100 + seed)
         forms = [QuadForm(0, 1, 0), QuadForm(0, 2, 0), QuadForm(1, 2, 0), QuadForm(2, 5, 0)]
         grouped = direct = 0
         for m in range(1, M_MAX + 1):
@@ -227,9 +227,9 @@ class TestAgainstPublicRoute:
                         c0, r = -Q.b / (2 * Q.a), Q.b / (2 * Q.a)
                         th = rng.uniform(0.02, math.pi - 0.02)
                         tau = complex(c0 + r * math.cos(th), r * math.sin(th))
-                    want = _eval_jmQ_public(m, Q, tau, N)
-                    assert eval_jmQ(m, Q, tau, N) == want, (m, Q, tau)
-                    vmax = max(cusp_matrix(p, q).gamma.moebius(tau).imag for p, q in Q.roots())
+                    want = _eval_jmQ_public(m, Q, tau)
+                    assert eval_jmQ(m, Q, tau) == want, (m, Q, tau)
+                    vmax = max(cusp_matrix(p, q).moebius(tau).imag for p, q in Q.roots())
                     grouped += vmax > V_STAR
                     direct += vmax <= V_STAR
         assert grouped > 20 and direct > 20
@@ -238,13 +238,12 @@ class TestAgainstPublicRoute:
 class TestCuspMatrix:
     def test_bottom_row_and_determinant(self):
         for r, s in ((0, 1), (1, 0), (-2, 1), (3, 2), (5, -3)):
-            cm = cusp_matrix(r, s)
-            g = cm.gamma
+            g = cusp_matrix(r, s)
             assert (g.c, g.d) == (s, -r)
             assert g.a * g.d - g.b * g.c == 1
 
     def test_sends_cusp_to_infinity(self):
-        g = cusp_matrix(-2, 1).gamma
+        g = cusp_matrix(-2, 1)
         near = complex(-2.0, 1e-6)
         assert g.moebius(near).imag > 1e5
 

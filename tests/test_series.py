@@ -20,7 +20,6 @@ from mocktrace.series import (
     kloosterman_plus,
     prop1_rhs,
     s_m_sum,
-    thm2_rhs,
 )
 from mocktrace.arith import divisors, kronecker
 from mocktrace.qform import QuadForm, chi_D
@@ -410,10 +409,10 @@ class TestModulusCeiling:
             ),
         ],
     )
-    @pytest.mark.parametrize("fn", ["coeff_a", "thm2_rhs"])
+    @pytest.mark.parametrize("fn", [coeff_a], ids=["coeff_a"])
     def test_delta_grid_rejected(self, no_work, fn, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            coeff_a(1, 1, **kwargs) if fn == "coeff_a" else thm2_rhs(1, 1, 2, **kwargs)
+            fn(1, 1, **kwargs)
 
     @pytest.mark.parametrize("modulus", [MODULUS_LIMIT + 4, series.SIEVE_MAX, 4_000_000])
     def test_modulus_rejected(self, no_work, modulus):
