@@ -246,8 +246,8 @@ def bessel_J_vec(nu: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _I_series(nu: float, half: np.ndarray, x_stop: float) -> np.ndarray:
-    """sum_k (x^2/4)^k / (k! (nu+1)_k) at x = 2 half, one in-place Horner pass.
+def _I_series(nu: float, half: np.ndarray, x_stop: float, acc: np.ndarray) -> np.ndarray:
+    """sum_k (x^2/4)^k / (k! (nu+1)_k) at x = 2 half, one in-place Horner pass into acc.
 
     The series runs up to the first term below 1e-18 of the sum at x_stop.
     """
@@ -260,7 +260,7 @@ def _I_series(nu: float, half: np.ndarray, x_stop: float) -> np.ndarray:
             break
     # two exact-input multiplies by x/2 per term: a rounded (x/2)^2 would
     # carry one systematic error into every power, ~k ulp at term k
-    acc = np.ones_like(half)
+    acc.fill(1.0)
     for k in range(n_terms, 0, -1):
         acc *= half
         acc *= half
@@ -269,27 +269,32 @@ def _I_series(nu: float, half: np.ndarray, x_stop: float) -> np.ndarray:
     return acc
 
 
-def bessel_I_vec(nu: float, x: np.ndarray) -> np.ndarray:
+def bessel_I_vec(nu: float, x: np.ndarray, out=None, work=None) -> np.ndarray:
     """Modified Bessel I_nu, real order nu >= 0, over an array of x in [0, I_ARG_CEILING].
 
     The relative tail of a fixed series length grows with x, so every entry
     is summed at the length for min(max(x), I_SERIES_SPLIT), and only the
-    entries above the split again at the length for max(x).
+    entries above the split again at the length for max(x).  `out` receives
+    the result and `work` (x itself allowed) is scratch; both have x's shape.
     """
     x = np.asarray(x, dtype=float)
     if nu < 0:
         raise ValueError(f"bessel_I_vec requires nu >= 0, got {nu}")
+    acc = np.empty_like(x) if out is None else out
     if x.size == 0:
-        return np.empty_like(x)
+        return acc
     lo, hi = float(np.min(x)), float(np.max(x))
     if not lo >= 0:
         raise ValueError(f"bessel_I_vec requires x >= 0, got {lo}")
     if hi > I_ARG_CEILING:
         raise ValueError(f"bessel_I_vec argument {hi} exceeds overflow ceiling {I_ARG_CEILING}")
-    half = 0.5 * x
-    acc = _I_series(nu, half, min(hi, I_SERIES_SPLIT))
-    if hi > I_SERIES_SPLIT:
-        big = np.flatnonzero(x > I_SERIES_SPLIT)
-        acc[big] = _I_series(nu, half[big], hi)
-    acc *= half**nu / math.gamma(nu + 1)
+    # read before work, which may be x, is overwritten
+    big = np.flatnonzero(x > I_SERIES_SPLIT) if hi > I_SERIES_SPLIT else None
+    half = np.multiply(0.5, x, out=work)
+    _I_series(nu, half, min(hi, I_SERIES_SPLIT), acc)
+    if big is not None:
+        acc[big] = _I_series(nu, half[big], hi, np.empty(big.size))
+    half **= nu
+    half /= math.gamma(nu + 1)
+    acc *= half
     return acc

@@ -252,8 +252,8 @@ def _cmax(floor: int):
     return parse
 
 
-def _positive(cast):
-    """A --bound / --tol type: a positive finite int or float."""
+def _positive(cast, ceiling=math.inf):
+    """A --bound / --tol type: a positive finite int or float, at most `ceiling`."""
 
     def parse(text: str):
         try:
@@ -262,6 +262,8 @@ def _positive(cast):
             raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
         if not 0 < value < math.inf:
             raise argparse.ArgumentTypeError(f"must be a positive finite number, got {value}")
+        if value > ceiling:
+            raise argparse.ArgumentTypeError(f"must be at most {ceiling}, got {value}")
         return value
 
     return parse
@@ -327,7 +329,7 @@ def _build_parser() -> _Parser:
     vp.add_argument("--D", type=int, default=1)
     vp.add_argument("--m", type=int, default=0)
     vp.add_argument("--s", type=float, default=2.0)
-    vp.add_argument("--bound", type=_positive(int))
+    vp.add_argument("--bound", type=_positive(int, poincare.BOUND_LIMIT))
     vp.add_argument("--cmax", type=_cmax(series.C_MAX_FLOOR), default=10_000)
     vp.add_argument("--tol", type=_positive(float))
     vp.set_defaults(func=_cmd_verify_prop1)

@@ -28,6 +28,8 @@ __all__ = [
 
 BOUND_DEFAULT_S2 = 300
 BOUND_DEFAULT_S15 = 1500
+# peak memory grows as bound^2: about 0.3 GB at 1,500 and 0.7-0.85 GB here
+BOUND_LIMIT = 2500
 
 # vertical-line quadrature: composite Gauss panels in t = log y on [0, T],
 # then a two-term power tail K y^{1-s} + L y^{-s} fitted at the endpoint.
@@ -63,12 +65,19 @@ def B_factor(s: float) -> float:
     return 2.0**s * gamma_real(s / 2) ** 2 / gamma_real(s)
 
 
-def _phi_vec(m: int, s: float, y: np.ndarray) -> np.ndarray:
-    """The test function phi_{m,s}: y^s for m = 0, the I-Bessel expression otherwise."""
+def _phi_vec(m: int, s: float, y: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The test function phi_{m,s} into out: y^s for m = 0, the I-Bessel expression otherwise.
+
+    y and work, both the shape of out, are overwritten as scratch.
+    """
     if m == 0:
-        return y**s
+        return np.power(y, s, out=out)
     am = abs(m)
-    return 2 * math.pi * math.sqrt(am) * np.sqrt(y) * bessel_I_vec(s - 0.5, 2 * math.pi * am * y)
+    # the Bessel argument is read off y before sqrt(y) takes its place
+    arg = np.multiply(2 * math.pi * am, y, out=work)
+    np.sqrt(y, out=y)
+    y *= 2 * math.pi * math.sqrt(am)
+    return np.multiply(bessel_I_vec(s - 0.5, arg, out=out, work=arg), y, out=out)
 
 
 def _normalize_bottom(c: int, d: int) -> tuple[int, int]:
@@ -116,6 +125,19 @@ def _folded_geometry(bound: int, excluded: frozenset) -> tuple[np.ndarray, ...]:
     return C, D, d_over_c, frac, self_mirror
 
 
+# Scratch rows shared by the folded and full coset sums, grown only for a larger
+# kept box.  Single-threaded by design: two concurrent sums would share rows.
+_rows = np.empty((4, 0))
+
+
+def _workspace(n: int) -> np.ndarray:
+    """Four float rows of length n, views into the shared scratch block."""
+    global _rows
+    if _rows.shape[1] < n:
+        _rows = np.empty((4, n))
+    return _rows[:, :n]
+
+
 def _folded_sum(m: int, y: float, s: float, bound: int, excluded: frozenset) -> complex:
     """_sum_over_cosets at tau = iy for a mirror-closed excluded set.
 
@@ -125,16 +147,17 @@ def _folded_sum(m: int, y: float, s: float, bound: int, excluded: frozenset) -> 
     its pair with weight 2.
     """
     C2, D2, d_over_c, frac, self_mirror = _folded_geometry(bound, excluded)
-    n2 = C2 * (y * y)
+    n2, height, work, phi = _workspace(len(C2))
+    np.multiply(C2, y * y, out=n2)
     n2 += D2
-    phi = _phi_vec(m, s, y / n2)
+    _phi_vec(m, s, np.divide(y, n2, out=height), phi, work)
     if m == 0:
         return complex(2.0 * np.sum(phi) - np.sum(phi[self_mirror]), 0.0)
     # Re(gamma tau) = a/c - d / (c n2), reduced as in the full box
     u = np.divide(d_over_c, n2, out=n2)
     np.subtract(frac, u, out=u)
     u *= m
-    u -= np.rint(u)
+    u -= np.rint(u, out=work)
     u *= 2 * math.pi
     cos = np.cos(u, out=u)
     total = 2.0 * np.dot(phi, cos) - np.dot(phi[self_mirror], cos[self_mirror])
@@ -148,16 +171,17 @@ def _sum_over_cosets(
     if tau.real == 0 and all(_normalize_bottom(c, -d) in excluded for c, d in excluded):
         return _folded_sum(m, tau.imag, s, bound, excluded)
     C, D, inv_c, frac = _coset_geometry(bound, excluded)
+    u, n2, height, phi = _workspace(len(C))
     x, y = tau.real, tau.imag
     # u = Re(c tau + d) and n2 = |c tau + d|^2, so Im(gamma tau) = y / n2
-    u = C * x
+    np.multiply(C, x, out=u)
     u += D
-    n2 = C * y
+    np.multiply(C, y, out=n2)
     n2 *= n2
-    n2 += u * u
-    phi = _phi_vec(m, s, y / n2)
+    n2 += np.multiply(u, u, out=height)
+    np.divide(y, n2, out=height)
     if m == 0:
-        return complex(np.sum(phi))
+        return complex(np.sum(_phi_vec(m, s, height, phi, n2)))
     # Re(gamma tau) = a/c - u / (c n2) for c > 0, and Re(tau) on the identity
     u /= n2
     u *= inv_c
@@ -167,9 +191,10 @@ def _sum_over_cosets(
     # only m Re(gamma tau) mod 1 matters; reducing it to [-1/2, 1/2] is
     # exact and keeps cos/sin on their fastest argument range
     u *= m
-    u -= np.rint(u)
+    u -= np.rint(u, out=n2)
     u *= 2 * math.pi
-    return complex(np.dot(phi, np.cos(u)), -np.dot(phi, np.sin(u)))
+    _phi_vec(m, s, height, phi, n2)
+    return complex(np.dot(phi, np.cos(u, out=n2)), -np.dot(phi, np.sin(u, out=u)))
 
 
 def eval_Gm(m: int, tau: complex, s: float, bound: int) -> complex:
@@ -277,6 +302,8 @@ def prop1_lhs(d: int, D: int, m: int, s: float, bound: int | None = None) -> tup
         raise ValueError(f"m must be nonnegative, got {m}")
     if bound is None:
         bound = BOUND_DEFAULT_S15 if s < 1.75 else BOUND_DEFAULT_S2
+    if bound > BOUND_LIMIT:
+        raise ValueError(f"bound must be at most {BOUND_LIMIT} (memory ~ bound^2), got {bound}")
     y_max = max(20.0, bound / Y_MAX_FRACTION)
     total = 0.0
     err = 0.0

@@ -288,6 +288,52 @@ class TestBesselIVecTwoTier:
                 assert v == pytest.approx(ref, rel=1e-14, abs=0.0), x
 
 
+class TestBesselIVecBuffers:
+    """out= and work= change where bessel_I_vec writes, never what it computes."""
+
+    XS = np.concatenate(
+        # entries in (split, 2 split] halve to at most the split: they catch
+        # a mask read off work = x/2 instead of x
+        ([0.0, 1e-300, I_SERIES_SPLIT, I_SERIES_SPLIT * (1 + 1e-9), 0.19, 0.1999, 699.5],
+         np.random.default_rng(12).uniform(0.0, 1e-2, 200),
+         np.random.default_rng(13).uniform(0.0, 40.0, 30))
+    )
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5])
+    def test_same_bits_as_plain_call(self, nu):
+        x = self.XS.copy()
+        plain = bessel_I_vec(nu, x)
+        out = np.full_like(x, np.nan)
+        assert bessel_I_vec(nu, x, out=out, work=np.full_like(x, np.nan)) is out
+        assert np.array_equal(out, plain)
+        assert np.array_equal(bessel_I_vec(nu, x, out=np.empty_like(x)), plain)
+        assert np.array_equal(bessel_I_vec(nu, x, work=np.empty_like(x)), plain)
+        assert np.array_equal(x, self.XS)  # unless x is the work buffer, it is only read
+        # x itself as the scratch: it is consumed, the result is the same
+        assert np.array_equal(bessel_I_vec(nu, x, out=out, work=x), plain)
+
+    def test_empty_input_returns_out(self):
+        out = np.empty(0)
+        assert bessel_I_vec(1.5, np.array([]), out=out, work=np.empty(0)) is out
+
+    @pytest.mark.parametrize(
+        "nu, x, message",
+        [
+            (1.5, [0.3, -0.5], "bessel_I_vec requires x >= 0, got -0.5"),
+            (-0.5, [0.3], "bessel_I_vec requires nu >= 0, got -0.5"),
+            (1.5, [0.3, 800.0],
+             f"bessel_I_vec argument 800.0 exceeds overflow ceiling {I_ARG_CEILING}"),
+        ],
+    )
+    def test_errors_unchanged_and_x_untouched(self, nu, x, message):
+        x = np.array(x)
+        kept = x.copy()
+        with pytest.raises(ValueError) as exc:
+            bessel_I_vec(nu, x, out=np.empty_like(x), work=x)
+        assert str(exc.value) == message
+        assert np.array_equal(x, kept)
+
+
 class TestBesselJVecSeries:
     """Arguments below 0.05 take four terms of the ascending series, the rest scipy."""
 

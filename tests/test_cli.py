@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mocktrace
-from mocktrace import modfun, series
+from mocktrace import modfun, poincare, series
 from mocktrace.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -242,6 +242,14 @@ class TestVerifyFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}: must be a positive finite number, got {shown}" in captured.err
+
+    def test_bound_above_ceiling_is_a_usage_error(self, capsys):
+        # the coset box's memory grows as bound^2; 6000 would need about 5 GB
+        assert dispatch(["verify", "prop1", "--bound", "6000"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        limit = poincare.BOUND_LIMIT
+        assert f"argument --bound: must be at most {limit}, got 6000" in captured.err
 
 
 class TestWarnings:

@@ -9,7 +9,7 @@ from scipy import special
 from scipy.integrate import quad
 
 from mocktrace import poincare
-from mocktrace.arith import zeta_real
+from mocktrace.arith import bessel_I_vec, zeta_real
 from mocktrace.poincare import (
     B_factor,
     eval_Gm,
@@ -18,7 +18,10 @@ from mocktrace.poincare import (
 )
 from mocktrace.poincare import (
     _coset_arrays,
+    _coset_geometry,
     _excluded_bottoms,
+    _folded_geometry,
+    _normalize_bottom,
     _phi_vec,
     _split_ray_integral,
     _sum_over_cosets,
@@ -224,19 +227,105 @@ class TestFoldedSum:
         assert len(calls) == 162
 
 
+def _phi_allocating(m, s, y):
+    """_phi_vec with fresh arrays and the same operations in the same order."""
+    if m == 0:
+        return y**s
+    am = abs(m)
+    return 2 * math.pi * math.sqrt(am) * np.sqrt(y) * bessel_I_vec(s - 0.5, 2 * math.pi * am * y)
+
+
+def allocating_sum(m, tau, s, bound, excluded):
+    """_sum_over_cosets as it was before the shared workspace: a fresh array per step.
+
+    Every floating-point operation is the kernel's, in the kernel's order,
+    so the two must agree bit for bit.
+    """
+    excluded = frozenset(excluded)
+    if tau.real == 0 and all(_normalize_bottom(c, -d) in excluded for c, d in excluded):
+        C2, D2, d_over_c, frac, self_mirror = _folded_geometry(bound, excluded)
+        y = tau.imag
+        n2 = C2 * (y * y) + D2
+        phi = _phi_allocating(m, s, y / n2)
+        if m == 0:
+            return complex(2.0 * np.sum(phi) - np.sum(phi[self_mirror]), 0.0)
+        u = (frac - d_over_c / n2) * m
+        cos = np.cos((u - np.rint(u)) * (2 * math.pi))
+        return complex(2.0 * np.dot(phi, cos) - np.dot(phi[self_mirror], cos[self_mirror]), 0.0)
+    C, D, inv_c, frac = _coset_geometry(bound, excluded)
+    x, y = tau.real, tau.imag
+    u = C * x + D
+    cy = C * y
+    n2 = cy * cy + u * u
+    phi = _phi_allocating(m, s, y / n2)
+    if m == 0:
+        return complex(np.sum(phi))
+    u = frac - u / n2 * inv_c
+    if C[0] == 0:
+        u[0] = x
+    u = u * m
+    u = (u - np.rint(u)) * (2 * math.pi)
+    return complex(np.dot(phi, np.cos(u)), -np.dot(phi, np.sin(u)))
+
+
+class TestWorkspace:
+    """The coset sum reuses one scratch block; no row may leak from one call into the next."""
+
+    TAUS = [
+        complex(0.0, 1.3),  # Re tau = 0: folded when the excluded set is mirror-closed
+        complex(0.0, 0.4),
+        complex(0.5, 0.8),
+        complex(-0.5, 2.2),
+        complex(0.37, 0.81),
+    ]
+    EXCLUDED = [frozenset(), frozenset({(0, 1), (1, 0)}), frozenset({(0, 1), (2, -1)})]
+
+    def test_matches_allocating_sum_exactly(self):
+        # bounds 120 -> 300 -> 120 shrink the views after the block grew, and
+        # folded and full calls alternate on the same rows
+        for bound in (120, 300, 120):
+            for m in (0, 1, 3):
+                for tau in self.TAUS:
+                    for excluded in self.EXCLUDED:
+                        got = _sum_over_cosets(m, tau, 1.5, bound, excluded)
+                        ref = allocating_sum(m, tau, 1.5, bound, excluded)
+                        assert got == ref, (bound, m, tau, sorted(excluded), got, ref)
+
+    # (value, err) at the parent of the workspace change, as float.hex
+    PINNED = {
+        (1, 1, 0, 2.0): ("0x1.3fd703bb498e3p-1", "0x1.52ab7c378d4a3p-13"),
+        (1, 1, 1, 2.0): ("0x1.ffdf956c23a4fp-1", "0x1.61b9ba8ac1e93p-9"),
+        (1, 1, 2, 2.0): ("0x1.fe795f4030b64p-1", "0x1.4f00443fc2244p-7"),
+        (1, 1, 1, 1.5): ("0x1.245ce449b8569p+3", "0x1.e8a73b3181756p-5"),
+        (4, 1, 0, 2.0): ("0x1.17eb5f6681ebap+1", "0x1.ada086cad4dacp-13"),
+    }
+
+    @pytest.mark.parametrize("shape", list(PINNED))
+    def test_prop1_lhs_bit_identical(self, shape):
+        # the benchmark's prop1 shapes at bound 300
+        value, err = prop1_lhs(*shape, bound=300)
+        assert (value.hex(), err.hex()) == self.PINNED[shape]
+
+
+def phi_vec(m, s, y):
+    """_phi_vec on a copy of y, with fresh buffers."""
+    y = np.array(y, dtype=float)
+    return _phi_vec(m, s, y, np.empty_like(y), np.empty_like(y))
+
+
 class TestPhi:
     def test_m_zero_power(self):
-        assert _phi_vec(0, 1.7, np.array([2.3]))[0] == pytest.approx(2.3**1.7, rel=1e-14)
+        assert phi_vec(0, 1.7, np.array([2.3]))[0] == pytest.approx(2.3**1.7, rel=1e-14)
 
     def test_sinh_at_s_one(self):
         y = np.array([0.3, 0.7, 1.5])
-        assert _phi_vec(1, 1.0, y) == pytest.approx(2 * np.sinh(2 * math.pi * y), rel=1e-12)
-        assert _phi_vec(-2, 1.0, y) == pytest.approx(2 * np.sinh(4 * math.pi * y), rel=1e-12)
+        assert phi_vec(1, 1.0, y) == pytest.approx(2 * np.sinh(2 * math.pi * y), rel=1e-12)
+        assert phi_vec(-2, 1.0, y) == pytest.approx(2 * np.sinh(4 * math.pi * y), rel=1e-12)
 
     def test_domain(self):
         # a negative height reaches the I-Bessel argument check
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="requires x >= 0"):
-            _phi_vec(1, 2.0, np.array([0.5, -0.5]))
+            phi_vec(1, 2.0, np.array([0.5, -0.5]))
 
 
 class TestBFactor:
@@ -328,3 +417,8 @@ class TestProp1Lhs:
             prop1_lhs(1, 1, 0, 1.1, bound=20)  # s out of range
         with pytest.raises(ValueError):
             prop1_lhs(1, 1, -1, 2.0, bound=20)
+
+    def test_bound_ceiling(self):
+        message = f"bound must be at most {poincare.BOUND_LIMIT}"
+        with pytest.raises(ValueError, match=message):
+            prop1_lhs(1, 1, 0, 2.0, bound=poincare.BOUND_LIMIT + 1)
