@@ -135,6 +135,14 @@ class TestVerifyCommands:
         capsys.readouterr()
         assert dispatch(args + ["--tol", "1e-9"]) == EXIT_VERIFY
 
+    def test_prop1_unresolved_ray_is_a_domain_error(self, capsys):
+        # at m = 6 the ray integrand cancels beyond what the panel cap resolves
+        args = ["verify", "prop1", "--d", "4", "--D", "1", "--m", "6", "--s", "2", "--bound", "100"]
+        assert dispatch(args) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "m=6" in captured.err
+
 
 class TestTableCommand:
     def test_skips_bad_residues_and_routes(self, capsys):
