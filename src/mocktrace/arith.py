@@ -4,7 +4,7 @@ Kronecker symbol, the theta-multiplier unit eps_a, divisor sums, fundamental
 solutions of t^2 - d u^2 = 4, the vectorized modular inverse, and the real
 special functions (Gamma, zeta, Dirichlet L, Bessel J and I of real order)
 that the series and Poincare modules consume.  zeta, L and Bessel J come
-from scipy.special, behind the package's own domain checks;
+from scipy.special, zeta and L behind the package's own domain checks;
 the vectorized I_nu of the coset sum, and J_nu at small arguments, keep an
 ascending series, which is faster there than scipy's.
 """
@@ -26,7 +26,6 @@ __all__ = [
     "gamma_real",
     "zeta_real",
     "dirichlet_L",
-    "bessel_J",
     "bessel_J_vec",
     "bessel_I_vec",
     "is_fundamental_discriminant",
@@ -220,17 +219,8 @@ def dirichlet_L(D: int, s: float) -> float:
 # ----------------------------------------------------------------------
 
 
-def bessel_J(nu: float, x: float) -> float:
-    """Bessel function of the first kind, real order nu >= 0, x >= 0."""
-    if x < 0:
-        raise ValueError(f"bessel_J requires x >= 0, got {x}")
-    if nu < 0:
-        raise ValueError(f"bessel_J requires nu >= 0, got {nu}")
-    return float(special.jv(nu, x))
-
-
 def bessel_J_vec(nu: float, x: np.ndarray) -> np.ndarray:
-    """J_nu over an array of arguments x >= 0, elementwise as bessel_J.
+    """J_nu over an array of arguments x >= 0, elementwise as scipy's jv.
 
     Below x = 0.05 four terms of the ascending series leave a relative tail
     under (x/2)^8 / (4! (nu+1)_4) < 3e-16, so only larger x go to scipy.

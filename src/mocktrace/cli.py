@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -41,18 +42,6 @@ def format_jm(m: int, N: int, coeffs: list[float]) -> str:
     lines = [f"# jm m={m} N={N} version=1"]
     lines.extend(repr(c) for c in coeffs)
     return "\n".join(lines) + "\n"
-
-
-def _result_dict(res) -> dict:
-    return {
-        "d": res.d,
-        "D": res.D,
-        "m": res.m,
-        "value": res.value,
-        "method": res.method,
-        "err_estimate": res.err_estimate,
-        "params": res.params,
-    }
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -82,29 +71,15 @@ def _route_trace(d: int, D: int, m: int, route: str):
 
 def _cmd_trace(args) -> int:
     res = _route_trace(args.d, args.D, args.m, args.route)
-    _emit(_result_dict(res), args.format)
+    _emit(dataclasses.asdict(res), args.format)
     return EXIT_OK
 
 
 def _cmd_coeff(args) -> int:
-    kwargs = {}
-    if args.deltas:
-        kwargs["deltas"] = tuple(args.deltas)
-        if args.cmax:
-            kwargs["c_max_by_delta"] = {delta: args.cmax for delta in args.deltas}
-    elif args.cmax:
-        kwargs["c_max_by_delta"] = {delta: args.cmax for delta in series.DELTAS_DEFAULT}
-    sv = series.coeff_a(args.d, args.D, **kwargs)
-    payload = {
-        "d": args.d,
-        "D": args.D,
-        "value": sv.value,
-        "tail_estimate": sv.tail_estimate,
-        "c_max": sv.c_max,
-        "s": sv.s,
-        "params": sv.params,
-    }
-    _emit(payload, args.format)
+    deltas = tuple(args.deltas or series.DELTAS_DEFAULT)
+    c_max_by_delta = dict.fromkeys(deltas, args.cmax) if args.cmax else None
+    sv = series.coeff_a(args.d, args.D, deltas, c_max_by_delta)
+    _emit({"d": args.d, "D": args.D, **dataclasses.asdict(sv)}, args.format)
     return EXIT_OK
 
 
@@ -114,11 +89,9 @@ def _cmd_qforms_list(args) -> int:
         cl = qform.classes_negative(d)
         for Q, order in zip(cl.reps, cl.stab_orders):
             print(json.dumps({"a": Q.a, "b": Q.b, "c": Q.c, "stab_order": order}))
-    elif d > 0 and math.isqrt(d) ** 2 == d:
-        for Q in qform.classes_square(d).reps:
-            print(json.dumps({"a": Q.a, "b": Q.b, "c": Q.c}))
     elif d > 0:
-        for Q in qform.classes_nonsquare(d).reps:
+        cl = qform.classes_square(d) if math.isqrt(d) ** 2 == d else qform.classes_nonsquare(d)
+        for Q in cl.reps:
             print(json.dumps({"a": Q.a, "b": Q.b, "c": Q.c}))
     else:
         raise ValueError("disc must be nonzero")

@@ -57,17 +57,11 @@ def _mul_trunc(f: list[int], g: list[int], n: int) -> list[int]:
 def _eta24_over_q(n: int) -> list[int]:
     """Coefficients of Delta/q = prod (1-q^k)^24 as integers, through q^(n-1)."""
     eta = [0] * n
-    k = 0
-    while True:  # pentagonal number theorem
-        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if g >= n:
-                break
-            eta[g] += (-1) ** k
-            if k == 0:
-                break
-        if k * (3 * k - 1) // 2 >= n:
-            break
-        k += 1
+    # pentagonal number theorem; past k = isqrt(n) both k(3k -+ 1)/2 exceed n
+    for k in range(math.isqrt(n) + 1):
+        for g in {k * (3 * k - 1) // 2, k * (3 * k + 1) // 2}:
+            if g < n:
+                eta[g] += (-1) ** k
     e3 = _mul_trunc(_mul_trunc(eta, eta, n), eta, n)  # eta^3
     e6 = _mul_trunc(e3, e3, n)
     e12 = _mul_trunc(e6, e6, n)
@@ -128,8 +122,7 @@ def _jm_int_coeffs(m: int, N: int) -> tuple[int, ...]:
         coef = prod[m - k]  # coefficient of q^-k
         if coef == 0:
             continue
-        jk = _jm_int_coeffs(k, N) if k > 0 else (1,) + (0,) * N
-        for idx, b in enumerate(jk):
+        for idx, b in enumerate(_jm_int_coeffs(k, N)):
             n = idx - k
             if -m <= n <= N:
                 prod[n + m] -= coef * b

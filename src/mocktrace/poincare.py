@@ -301,15 +301,13 @@ def _split_ray_integral(
     apex = complex(-Q.b / (2 * Q.a), rt / (2 * abs(Q.a)))
     total = 0.0 + 0.0j
     err = 0.0
-    alpha_plus = (-Q.b + rt) / (2 * Q.a)
-    for p, q in Q.roots():
+    # dtau_{Q'} = (sqrt(disc)/b') dy/y on the upward ray; the alpha_plus
+    # half, listed first by Q.roots(), runs apex -> cusp reversed, hence the sign
+    for sign, (p, q) in zip((-1.0, 1.0), Q.roots()):
         gam = cusp_matrix(p, q)
         Qp = apply(gam, Q)
         w0 = gam.moebius(apex)
         val, e = _ray_integral(m, Qp, w0.real, w0.imag, s, bound, y_max)
-        # dtau_{Q'} = (sqrt(disc)/b') dy/y on the upward ray; the
-        # alpha_plus half runs apex -> cusp reversed, hence the sign
-        sign = -1.0 if abs(p / q - alpha_plus) < 1e-12 else 1.0
         total += sign * (rt / Qp.b) * val
         err += abs(rt / Qp.b) * e
     return total.real, err + abs(total.imag)

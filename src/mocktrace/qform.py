@@ -317,15 +317,10 @@ def chi_D(D: int, Q: QuadForm) -> int:
 
 def _box_boundary(n: int):
     """Lattice points with max-norm exactly n, in lexicographic order."""
-    if n == 0:
-        yield (0, 0)
-        return
-    pts = []
     for x in range(-n, n + 1):
         for y in range(-n, n + 1):
             if max(abs(x), abs(y)) == n:
-                pts.append((x, y))
-    yield from pts
+                yield x, y
 
 
 def automorph_generator(Q: QuadForm) -> UnimodularMatrix:

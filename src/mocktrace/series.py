@@ -31,10 +31,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad
 
 from .arith import (
-    bessel_J,
     bessel_J_vec,
     dirichlet_L,
     divisors,
@@ -246,22 +246,22 @@ def _beta_coeff(d0: int, n: int) -> int:
     return out
 
 
+def _twists(d: int) -> tuple[int, list[tuple[int, int, int]]]:
+    """d = d0 f^2 > 0 as d0 and the (u, mu(u) (d0/u), f/u) over u | f with a nonzero weight."""
+    d0, f = _fund_square_split(d)
+    twists = [(u, _mobius(u) * kronecker(d0, u), f // u) for u in divisors(f)]
+    return d0, [t for t in twists if t[1]]
+
+
 def _T_zero_case(d: int, c: int) -> int:
     """K+(d, 0; 4c) / (4 sqrt c) for d > 0 (a finite divisor sum)."""
-    d0, f = _fund_square_split(d)
+    d0, twists = _twists(d)
     total = 0
-    for u in divisors(f):
-        mu = _mobius(u)
-        if mu == 0:
-            continue
-        ch = kronecker(d0, u)
-        if ch == 0:
-            continue
-        for v in divisors(f // u):
+    for u, weight, g in twists:
+        for v in divisors(g):
             rem, residue = divmod(c, u * v * v)
-            if residue:
-                continue
-            total += mu * ch * v * _beta_coeff(d0, rem)
+            if not residue:
+                total += weight * v * _beta_coeff(d0, rem)
     return total
 
 
@@ -322,6 +322,15 @@ def kloosterman_plus(d: int, D: int, modulus: int) -> float:
     return _kp_direct(d, D, c)
 
 
+def _check_route(coefficient: str, d: int, D: int) -> None:
+    """The root sums carry the genus character on D or d, so one must be 1 or fundamental."""
+    if not (is_fundamental_discriminant(d) or is_fundamental_discriminant(D)):
+        raise ValueError(
+            f"{coefficient} has no spectral route: one argument must be 1 or a fundamental"
+            " discriminant"
+        )
+
+
 def _check_s_m_args(m: int, d: int, D: int) -> None:
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
@@ -349,18 +358,11 @@ def s_m_sum(m: int, d: int, D: int, modulus: int) -> float:
 
 def _dirichlet_T(d: int, w: float) -> float:
     """sum_c T(d, c) c^-w in closed form (w > 1), d = d0 f^2 > 0."""
-    d0, f = _fund_square_split(d)
+    d0, twists = _twists(d)
     L = zeta_real(w) if d0 == 1 else dirichlet_L(d0, w)
     total = 0.0
-    for u in divisors(f):
-        mu = _mobius(u)
-        if mu == 0:
-            continue
-        ch = kronecker(d0, u)
-        if ch == 0:
-            continue
-        sig = sum(v ** (1 - 2 * w) for v in divisors(f // u))
-        total += mu * ch * u ** (-w) * sig
+    for u, weight, g in twists:
+        total += weight * u ** (-w) * sum(v ** (1 - 2 * w) for v in divisors(g))
     return L / zeta_real(2 * w) * total
 
 
@@ -552,7 +554,7 @@ def _root_sum_at(d: int, D: int, c: int, m: int = 1) -> float:
 def _bessel_tail_integral(nu: float, arg0: float, X: float) -> float:
     """int_X^inf J_nu(arg0 / c) / sqrt c dc via the substitution u = 1/c."""
     val, _ = quad(
-        lambda u: bessel_J(nu, arg0 * u) * u**-1.5, 0.0, 1.0 / X, epsabs=1e-12, limit=200
+        lambda u: special.jv(nu, arg0 * u) * u**-1.5, 0.0, 1.0 / X, epsabs=1e-12, limit=200
     )
     return val
 
@@ -576,6 +578,13 @@ def _complete_tail(terms: np.ndarray, weights: np.ndarray, tail) -> tuple[float,
     return float(np.mean(corrected)), spread, rho
 
 
+def _bessel_series(R: np.ndarray, pref: float, nu: float, arg0: float) -> tuple[float, float, float]:
+    """_complete_tail of the terms R against the weight pref J_nu(arg0 / c) / sqrt c."""
+    cs = np.arange(1, R.size + 1, dtype=float)
+    weights = pref * bessel_J_vec(nu, arg0 / cs) / np.sqrt(cs)
+    return _complete_tail(R, weights, lambda x: pref * _bessel_tail_integral(nu, arg0, x))
+
+
 def _b_series_bessel(d: int, D: int, s: float, R: np.ndarray) -> SeriesValue:
     """The dD > 0 case: J-Bessel series with mean-corrected tail completion.
 
@@ -587,12 +596,7 @@ def _b_series_bessel(d: int, D: int, s: float, R: np.ndarray) -> SeriesValue:
     """
     dD = d * D
     pref = 2.0 ** (-0.5) * math.pi * dD**0.25
-    nu, arg0 = 2 * s - 1, math.pi * math.sqrt(dD)
-    cs = np.arange(1, R.size + 1, dtype=float)
-    weights = pref * bessel_J_vec(nu, arg0 / cs) / np.sqrt(cs)
-    value, spread, rho = _complete_tail(
-        R, weights, lambda x: pref * _bessel_tail_integral(nu, arg0, x)
-    )
+    value, spread, rho = _bessel_series(R, pref, 2 * s - 1, math.pi * math.sqrt(dD))
     return SeriesValue(value, R.size, s, spread, {"case": "bessel", "rho": rho})
 
 
@@ -610,6 +614,7 @@ def b_series(d: int, D: int, s: float, c_max: int) -> SeriesValue:
     _check_series_c_max(c_max)
     dD = d * D
     if dD > 0:
+        _check_route(f"b({d}, {D}, s)", d, D)
         return _b_series_bessel(d, D, s, _root_sum_array(d, D, c_max))
     if dD == 0 and d + D != 0:
         n = d + D
@@ -664,6 +669,7 @@ def coeff_a(
     """
     if d <= 0 or D <= 0 or d % 4 not in (0, 1) or D % 4 not in (0, 1):
         raise ValueError(f"coeff_a needs positive d, D = 0, 1 mod 4, got d={d}, D={D}")
+    _check_route(f"a({d}, {D})", d, D)
     grid = _delta_grid(deltas, c_max_by_delta)
     c_max = max(cm for _, cm in grid)
     # R(c) does not depend on s: one array at the largest c_max serves every
@@ -707,21 +713,13 @@ def prop1_rhs(d: int, D: int, m: int, s: float, c_max: int = 10_000) -> SeriesVa
     _check_series_c_max(c_max)
     dD = d * D
     sm = _root_sum_array(d, D, c_max, m=m)  # S_m(d, D; 4c) for every c
-    cs = np.arange(1, c_max + 1, dtype=float)
     if m > 0:
         pref = math.pi / math.sqrt(2) * math.sqrt(m) * dD**0.25
-        nu, arg0 = s - 0.5, math.pi * m * math.sqrt(dD)
-        weights = pref * bessel_J_vec(nu, arg0 / cs) / np.sqrt(cs)
-
-        def tail(x):
-            return pref * _bessel_tail_integral(nu, arg0, x)
+        value, spread, rho = _bessel_series(sm, pref, s - 0.5, math.pi * m * math.sqrt(dD))
     else:
         pref = 2.0 ** (-s - 1) * dD ** (s / 2)
-        weights = pref * cs ** (-s)
-
-        def tail(x):
-            return pref * x ** (1 - s) / (s - 1)
-    value, spread, rho = _complete_tail(sm, weights, tail)
+        weights = pref * np.arange(1, c_max + 1, dtype=float) ** (-s)
+        value, spread, rho = _complete_tail(sm, weights, lambda x: pref * x ** (1 - s) / (s - 1))
     return SeriesValue(value, c_max, s, spread, {"m": m, "rho": rho})
 
 
@@ -733,12 +731,12 @@ def thm2_rhs(d: int, D: int, m: int) -> SeriesValue:
         raise ValueError(f"thm2_rhs needs d, D > 0, got d={d}, D={D}")
     if not (D == 1 or is_fundamental_discriminant(D)):
         raise ValueError(f"D must be fundamental, got {D}")
+    terms = [(n, ch) for n in divisors(m) if (ch := kronecker(D, m // n))]
+    for n, _ in terms:  # every coefficient needs a route, checked before the first root sum
+        _check_route(f"a({n * n * D}, {d})", n * n * D, d)
     total = 0.0
     tail = 0.0
-    for n in divisors(m):
-        ch = kronecker(D, m // n)
-        if ch == 0:
-            continue
+    for n, ch in terms:
         a = coeff_a(n * n * D, d)
         total += ch * n * a.value
         tail += n * a.tail_estimate

@@ -143,6 +143,21 @@ class TestVerifyCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "m=6" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "thm2", "--d", "4", "--D", "1", "--m", "2"], ["coeff", "--d", "4", "--D", "4"]],
+        ids=["thm2", "coeff"],
+    )
+    def test_coefficient_without_spectral_route_is_a_domain_error(self, argv, capsys):
+        # both need a(4, 4), and neither of its arguments is fundamental
+        assert dispatch(argv) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: a(4, 4) has no spectral route: one argument must be 1 or a fundamental"
+            " discriminant\n"
+        )
+
 
 class TestTableCommand:
     def test_skips_bad_residues_and_routes(self, capsys):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mocktrace.series import (
     kloosterman_plus,
     prop1_rhs,
     s_m_sum,
+    thm2_rhs,
 )
 from mocktrace.arith import divisors, kronecker
 from mocktrace.qform import QuadForm, chi_D
@@ -104,7 +106,11 @@ class TestSpfSieve:
 
 
 class TestKloostermanPlus:
-    GRID = [(1, 1), (4, 1), (1, 4), (9, 1), (5, 5), (8, 8), (5, 0), (0, 8), (0, 0), (12, 1)]
+    # the degenerate pairs with f > 1 in n = n0 f^2 reach the twist sums over u | f
+    GRID = [
+        (1, 1), (4, 1), (1, 4), (9, 1), (5, 5), (8, 8), (5, 0), (0, 8), (0, 0), (12, 1),
+        (4, 0), (0, 9), (36, 0), (0, 72), (180, 0),
+    ]
 
     def test_fast_matches_direct(self):
         for d, D in self.GRID:
@@ -183,9 +189,11 @@ class TestBSeries:
             b = b_series(D, d, 1.0, 2000)
             assert a.value == pytest.approx(b.value, abs=1e-9)
 
-    def test_zero_case_partial_close_to_exact(self):
-        # the closed form against 5,000 terms of the defining series
-        s, n = 1.0, 5
+    @pytest.mark.parametrize("n", [5, 72, 180])
+    def test_zero_case_partial_close_to_exact(self, n):
+        # the closed form against 5,000 terms of the defining series; 72 and
+        # 180 have f = 3 and 6 in n = n0 f^2, so they reach the twists u | f
+        s = 1.0
         pref = 2.0 ** (-4 * s) * math.pi ** (s + 0.25) * n ** (s - 0.25)
         terms = (series._T_zero_case(n, c) * c ** (0.5 - 2 * s) for c in range(1, 5001))
         partial = 4.0 * pref * sum(terms)
@@ -348,7 +356,8 @@ class TestModulusCeiling:
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the ceiling check")
 
-        for name in ("_root_sum_array", "_root_sum_at", "_kp_direct", "_T_zero_case"):
+        names = ("_spf_sieve", "_root_sum_array", "_root_sum_at", "_kp_direct", "_T_zero_case")
+        for name in names:
             monkeypatch.setattr(series, name, refuse)
 
     def test_limits_fit_the_sieve(self):
@@ -413,6 +422,24 @@ class TestModulusCeiling:
     def test_delta_grid_rejected(self, no_work, fn, kwargs, message):
         with pytest.raises(ValueError, match=message):
             fn(1, 1, **kwargs)
+
+    @pytest.mark.parametrize(
+        "call, coefficient",
+        [
+            (lambda: coeff_a(4, 4), "a(4, 4)"),
+            (lambda: coeff_a(9, 16), "a(9, 16)"),
+            (lambda: b_series(4, 4, 1.0, 200), "b(4, 4, s)"),
+            (lambda: thm2_rhs(4, 1, 2), "a(4, 4)"),
+            (lambda: thm2_rhs(9, 1, 3), "a(9, 9)"),
+        ],
+        ids=["coeff_a", "coeff_a_both_square", "b_series", "thm2_rhs_m2", "thm2_rhs_m3"],
+    )
+    def test_no_spectral_route_rejected(self, no_work, call, coefficient):
+        # neither argument carries the genus character, so the root sums have
+        # no route; thm2_rhs checks every a(n^2 D, d) before its first one
+        message = re.escape(coefficient) + " has no spectral route: one argument must be 1 or"
+        with pytest.raises(ValueError, match=message):
+            call()
 
     @pytest.mark.parametrize("modulus", [MODULUS_LIMIT + 4, series.SIEVE_MAX, 4_000_000])
     def test_modulus_rejected(self, no_work, modulus):

@@ -1,0 +1,117 @@
+"""Compare CLI stdout bytes and exit codes between a parent revision and the working tree.
+
+    python3 tools/cli_diff.py --parent HEAD
+
+The parent tree is exported with `git archive <rev> | tar -x` into a
+temporary directory, as tools/bench_pairs.py does; the change is the working
+tree.  Both trees run the same invocations, each tree in one interpreter of
+its own with PYTHONPATH=<tree>/src, through `mocktrace.cli.dispatch` with
+stdout and stderr captured per invocation:
+
+- every operation of bench/workloads.py's `trace_table` pool (`trace` and
+  `jm coeffs`);
+- `coeff --d d --D 1` for the d of its `coeff_verify` pool;
+- `qforms list --disc n` for -200 <= n <= 200;
+- `table --D 1 --m 1 --d-min -20 --d-max 30`;
+- `verify values`, `verify symmetry` and `verify kloosterman`.
+
+Every difference in stdout bytes, in exit code or in an exception that
+escaped dispatch is printed, and the script exits 1 if there is any.
+Stderr differences are printed as notes and do not count.  bench/ is only
+read.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import ROOT, export_tree
+
+RUNNER = """
+import io, json, sys, warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from mocktrace import cli
+
+results = []
+for argv in json.loads(Path(sys.argv[1]).read_text()):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            rc = cli.dispatch(argv)
+        except Exception as exc:
+            rc = f"raised {type(exc).__name__}: {exc}"
+    results.append({"rc": rc, "out": out.getvalue(), "err": err.getvalue()})
+Path(sys.argv[2]).write_text(json.dumps(results))
+"""
+
+
+def invocations() -> list[list[str]]:
+    sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import coeff_verify_pool, trace_table_pool
+
+    calls = []
+    for op in trace_table_pool():
+        name, *a = op.split()
+        if name == "trace":
+            calls.append(["trace", "--d", a[0], "--D", a[1], "--m", a[2]])
+        else:
+            calls.append(["jm", "coeffs", "--m", a[0], "--n", a[1]])
+    calls += [["coeff", "--d", op.split()[1], "--D", "1"] for op in coeff_verify_pool()]
+    calls += [["qforms", "list", "--disc", str(n)] for n in range(-200, 201)]
+    calls.append(["table", "--D", "1", "--m", "1", "--d-min", "-20", "--d-max", "30"])
+    calls += [["verify", check] for check in ("values", "symmetry", "kloosterman")]
+    return calls
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="git revision of the parent tree")
+    args = ap.parse_args()
+    calls = invocations()
+    with tempfile.TemporaryDirectory(prefix="cli-diff-") as tmp:
+        tmp = Path(tmp)
+        trees = {"parent": tmp / "parent", "change": ROOT}
+        trees["parent"].mkdir()
+        export_tree(args.parent, trees["parent"])
+        (tmp / "calls.json").write_text(json.dumps(calls))
+        procs = {}
+        for side, tree in trees.items():
+            env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+            procs[side] = subprocess.Popen(
+                [sys.executable, "-c", RUNNER, str(tmp / "calls.json"), str(tmp / f"{side}.json")],
+                env=env, stderr=subprocess.PIPE, text=True,
+            )
+        for side, proc in procs.items():
+            _, err = proc.communicate()
+            if proc.returncode != 0:
+                raise RuntimeError(f"the {side} runner exited {proc.returncode}: {err[-2000:]}")
+        parent, change = (json.loads((tmp / f"{side}.json").read_text()) for side in trees)
+
+    differences = notes = 0
+    for argv, old, new in zip(calls, parent, change):
+        shown = " ".join(argv)
+        if old["rc"] != new["rc"]:
+            differences += 1
+            print(f"DIFF {shown}: exit {old['rc']} -> {new['rc']}")
+        if old["out"] != new["out"]:
+            differences += 1
+            print(f"DIFF {shown}: stdout\n  parent: {old['out']!r}\n  change: {new['out']!r}")
+        if old["err"] != new["err"]:
+            notes += 1
+            print(f"note {shown}: stderr\n  parent: {old['err']!r}\n  change: {new['err']!r}")
+    print(f"{len(calls)} invocations: {differences} stdout or exit-code differences, "
+          f"{notes} stderr differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
