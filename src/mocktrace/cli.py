@@ -140,10 +140,7 @@ def _cmd_verify_thm2(args) -> int:
 
 def _cmd_verify_kloosterman(args) -> int:
     worst = 0.0
-    grid = [(1, 1), (4, 1), (1, 4), (9, 1), (4, 4), (5, 5)]
-    for d, D in grid:
-        if not (D == 1 or series.is_fundamental_discriminant(D)):
-            continue
+    for d, D in [(1, 1), (4, 1), (9, 1), (5, 5)]:
         for m in range(1, 7):
             for c in range(1, args.cmax + 1):
                 lhs = series.s_m_sum(m, d, D, 4 * c)
@@ -208,35 +205,24 @@ def _cmd_table(args) -> int:
 
 # --------------------------------------------------------------- dispatch
 
-def _cmax(floor: int):
-    """A --cmax type: at least floor, and every modulus 4c within series.MODULUS_LIMIT."""
+def _number(cast, floor=None, ceiling=math.inf):
+    """An option type: cast(text) in [floor, ceiling], and positive and finite when floor is None.
 
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value > series.C_MAX_LIMIT:
-            raise argparse.ArgumentTypeError(f"must be at most {series.C_MAX_LIMIT}, got {value}")
-        if value < floor:
-            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
-        return value
-
-    return parse
-
-
-def _positive(cast, ceiling=math.inf):
-    """A --bound / --tol type: a positive finite int or float, at most `ceiling`."""
+    Every --cmax has the ceiling series.C_MAX_LIMIT, so each modulus 4c stays
+    within series.MODULUS_LIMIT.
+    """
 
     def parse(text: str):
         try:
             value = cast(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
-        if not 0 < value < math.inf:
+        if floor is None and not 0 < value < math.inf:
             raise argparse.ArgumentTypeError(f"must be a positive finite number, got {value}")
         if value > ceiling:
             raise argparse.ArgumentTypeError(f"must be at most {ceiling}, got {value}")
+        if floor is not None and value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
         return value
 
     return parse
@@ -278,7 +264,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--D", type=int, required=True)
     c.add_argument("--deltas", type=float, nargs="+", action=_Deltas)
-    c.add_argument("--cmax", type=_cmax(series.C_MAX_FLOOR))
+    c.add_argument("--cmax", type=_number(int, series.C_MAX_FLOOR, series.C_MAX_LIMIT))
     c.set_defaults(func=_cmd_coeff)
 
     q = sub.add_parser("qforms", help="quadratic form utilities")
@@ -302,24 +288,24 @@ def _build_parser() -> _Parser:
     vp.add_argument("--D", type=int, default=1)
     vp.add_argument("--m", type=int, default=0)
     vp.add_argument("--s", type=float, default=2.0)
-    vp.add_argument("--bound", type=_positive(int, poincare.BOUND_LIMIT))
-    vp.add_argument("--cmax", type=_cmax(series.C_MAX_FLOOR), default=10_000)
-    vp.add_argument("--tol", type=_positive(float))
+    vp.add_argument("--bound", type=_number(int, ceiling=poincare.BOUND_LIMIT))
+    vp.add_argument("--cmax", type=_number(int, series.C_MAX_FLOOR, series.C_MAX_LIMIT), default=10_000)
+    vp.add_argument("--tol", type=_number(float))
     vp.set_defaults(func=_cmd_verify_prop1)
 
     vt = vs.add_parser("thm2")
     vt.add_argument("--d", type=int, required=True)
     vt.add_argument("--D", type=int, required=True)
     vt.add_argument("--m", type=int, required=True)
-    vt.add_argument("--tol", type=_positive(float))
+    vt.add_argument("--tol", type=_number(float))
     vt.set_defaults(func=_cmd_verify_thm2)
 
     vk = vs.add_parser("kloosterman")
-    vk.add_argument("--cmax", type=_cmax(1), default=50)
+    vk.add_argument("--cmax", type=_number(int, 1, series.C_MAX_LIMIT), default=50)
     vk.set_defaults(func=_cmd_verify_kloosterman)
 
     vy = vs.add_parser("symmetry")
-    vy.add_argument("--cmax", type=_cmax(1), default=100)
+    vy.add_argument("--cmax", type=_number(int, 1, series.C_MAX_LIMIT), default=100)
     vy.set_defaults(func=_cmd_verify_symmetry)
 
     vv = vs.add_parser("values")

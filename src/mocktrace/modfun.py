@@ -15,12 +15,11 @@ import math
 from functools import lru_cache
 
 from .arith import sigma_real
-from .qform import QuadForm, UnimodularMatrix, _xgcd
+from .qform import QuadForm, UnimodularMatrix, cusp_matrix
 
 __all__ = [
     "jm_coeffs",
     "eval_jm",
-    "cusp_matrix",
     "eval_jmQ",
 ]
 
@@ -68,14 +67,13 @@ def _eta24_over_q(n: int) -> list[int]:
     return _mul_trunc(e12, e12, n)
 
 
-def _series_inverse(f: list[int], n: int) -> list[int]:
-    """Inverse of an integer power series with f[0] = 1."""
-    assert f[0] == 1
-    inv = [0] * n
-    inv[0] = 1
-    for k in range(1, n):
-        inv[k] = -sum(f[j] * inv[k - j] for j in range(1, k + 1) if j < len(f))
-    return inv
+def _series_div(f: list[int], g: list[int], n: int) -> list[int]:
+    """Quotient f / g of integer power series of length n with g[0] = 1, in one pass."""
+    assert g[0] == 1
+    out = [0] * n
+    for k in range(n):
+        out[k] = f[k] - sum(g[j] * out[k - j] for j in range(1, k + 1))
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -87,8 +85,7 @@ def _j_int_coeffs(N: int) -> tuple[int, ...]:
     n = N + 2
     e4 = [1] + [240 * sigma_real(k, 3) for k in range(1, n)]
     num = _mul_trunc(_mul_trunc(e4, e4, n), e4, n)
-    den_inv = _series_inverse(_eta24_over_q(n), n)
-    return tuple(_mul_trunc(num, den_inv, n))
+    return tuple(_series_div(num, _eta24_over_q(n), n))
 
 
 @lru_cache(maxsize=128)
@@ -100,32 +97,17 @@ def _jm_int_coeffs(m: int, N: int) -> tuple[int, ...]:
     """
     if m == 0:
         return (1,) + (0,) * N
-    j = _j_int_coeffs(N + m)  # indexed from q^-1
     if m == 1:
-        out = list(j[: N + 2])
+        out = list(_j_int_coeffs(N))
         out[1] -= 744
         return tuple(out)
-    j1 = _jm_int_coeffs(1, N + m - 1)  # from q^-1
-    prev = _jm_int_coeffs(m - 1, N + 1)  # from q^-(m-1)
-    # multiply: indices from q^-m; truncate at q^N
-    length = m + N + 1
-    prod = [0] * length
-    for i, a in enumerate(j1):
-        if a == 0:
-            continue
-        for k, b in enumerate(prev):
-            n = (i - 1) + (k - (m - 1))
-            if -m <= n <= N:
-                prod[n + m] += a * b
+    # j_1 * j_{m-1}, index i standing for q^(i - m), truncated at q^N
+    prod = _mul_trunc(_jm_int_coeffs(1, N + m - 1), _jm_int_coeffs(m - 1, N + 1), m + N + 1)
     # subtract multiples of j_k, k = m-1 ... 0, to kill q^-k ... q^0
     for k in range(m - 1, -1, -1):
         coef = prod[m - k]  # coefficient of q^-k
-        if coef == 0:
-            continue
-        for idx, b in enumerate(_jm_int_coeffs(k, N)):
-            n = idx - k
-            if -m <= n <= N:
-                prod[n + m] -= coef * b
+        for i, b in enumerate(_jm_int_coeffs(k, N)):
+            prod[m - k + i] -= coef * b
     assert prod[0] == 1 and all(prod[m - k] == 0 for k in range(m - 1, -1, -1))
     return tuple(prod)
 
@@ -171,16 +153,6 @@ def eval_jm(m: int, tau: complex) -> complex:
     tau0 = (a * tau + b) / (c * tau + d)  # UnimodularMatrix.moebius
     q = cmath.exp(2j * math.pi * tau0)
     return _horner(_jm_floats(m, N_DEFAULT), q, -m)
-
-
-def cusp_matrix(r: int, s: int) -> UnimodularMatrix:
-    """A matrix sending the cusp r/s, gcd(r, s) = 1, to infinity; bottom row exactly (s, -r)."""
-    if math.gcd(abs(r), abs(s)) != 1:
-        raise ValueError(f"cusp ({r}, {s}) is not in lowest terms")
-    # det [[p, q], [s, -r]] = -(p r + q s) = 1
-    g, x, y = _xgcd(r, s)
-    # r x + s y = 1 -> p = -x, q = -y
-    return UnimodularMatrix(-x, -y, s, -r)
 
 
 @lru_cache(maxsize=1024)

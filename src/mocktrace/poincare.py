@@ -16,8 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import bessel_I_vec, gamma_real, inverse_mod
-from .modfun import cusp_matrix
-from .qform import QuadForm, apply, chi_D, classes_square
+from .qform import QuadForm, apply, chi_D, classes_square, cusp_matrix
 
 __all__ = [
     "eval_Gm",

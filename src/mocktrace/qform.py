@@ -21,6 +21,7 @@ __all__ = [
     "classes_negative",
     "classes_nonsquare",
     "classes_square",
+    "cusp_matrix",
     "reduce_square",
     "chi_D",
     "automorph_generator",
@@ -244,6 +245,16 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def cusp_matrix(r: int, s: int) -> UnimodularMatrix:
+    """A matrix sending the cusp r/s, gcd(r, s) = 1, to infinity; bottom row exactly (s, -r)."""
+    if math.gcd(abs(r), abs(s)) != 1:
+        raise ValueError(f"cusp ({r}, {s}) is not in lowest terms")
+    # det [[p, q], [s, -r]] = -(p r + q s) = 1
+    g, x, y = _xgcd(r, s)
+    # r x + s y = 1 -> p = -x, q = -y
+    return UnimodularMatrix(-x, -y, s, -r)
+
+
 def reduce_square(Q: QuadForm) -> tuple[QuadForm, UnimodularMatrix]:
     """Reduce a square-discriminant form to its [a, b, 0] representative.
 
@@ -252,14 +263,11 @@ def reduce_square(Q: QuadForm) -> tuple[QuadForm, UnimodularMatrix]:
     coefficient with a matrix built from a root of Q, fix the sign of the
     middle coefficient, then translate the first coefficient into [0, b).
     """
-    d = Q.disc
-    e = math.isqrt(d)
-    if d <= 0 or e * e != d:
-        raise ValueError(f"form {Q} does not have a positive square discriminant")
     # step 1: gamma1 Q = [a1, +-b, 0]; need (gamma1 Q)(0,1) = Q(-B, A) = 0,
-    # i.e. (-B, A) a root vector (p, q): A = q, B = -p.
-    p, q = Q.roots()[0]
-    gamma = _complete_row_ad(q, -p)
+    # i.e. (-B, A) = -(p, q) for a root vector (p, q): the top row of
+    # S @ cusp_matrix(p, q) is (-q, p).  Q.roots() rejects a nonsquare Q.
+    gamma = S @ cusp_matrix(*Q.roots()[0])
+    e = math.isqrt(Q.disc)
     R = apply(gamma, Q)
     assert R.c == 0 and abs(R.b) == e, (Q, R)
     # step 2: if the middle coefficient is -b, flip with M = [[a/g, -b/g], [x, w]],
@@ -282,15 +290,6 @@ def reduce_square(Q: QuadForm) -> tuple[QuadForm, UnimodularMatrix]:
         R = apply(M, R)
     assert 0 <= R.a < e and R.b == e and R.c == 0, (Q, R)
     return R, gamma
-
-
-def _complete_row_ad(A: int, B: int) -> UnimodularMatrix:
-    """A unimodular matrix with top row (A, B), smallest-nonnegative completion."""
-    g, x, y = _xgcd(A, B)
-    if g != 1:
-        raise ValueError(f"row ({A}, {B}) is not coprime")
-    # A*x + B*y = 1 -> bottom row (-y, x)
-    return UnimodularMatrix(A, B, -y, x)
 
 
 def chi_D(D: int, Q: QuadForm) -> int:

@@ -20,22 +20,19 @@ from mocktrace.modfun import (
     _jm_int_coeffs,
     _mul_trunc,
     _reduce,
-    _series_inverse,
-    cusp_matrix,
+    _series_div,
     eval_jm,
     eval_jmQ,
     jm_coeffs,
 )
-from mocktrace.qform import IDENTITY, QuadForm, S, UnimodularMatrix, translation
+from mocktrace.qform import IDENTITY, QuadForm, S, UnimodularMatrix, cusp_matrix, translation
 
 
 def _j_int_coeffs_e6(N: int) -> tuple[int, ...]:
     """Independent route j = E6^2/Delta + 1728, indexed as _j_int_coeffs; an oracle."""
     n = N + 2
     e6 = [1] + [-504 * sigma_real(k, 5) for k in range(1, n)]
-    num = _mul_trunc(e6, e6, n)
-    den_inv = _series_inverse(_eta24_over_q(n), n)
-    out = list(_mul_trunc(num, den_inv, n))
+    out = _series_div(_mul_trunc(e6, e6, n), _eta24_over_q(n), n)
     out[1] += 1728
     return tuple(out)
 
@@ -84,6 +81,17 @@ class TestCoefficients:
         for m in range(1, M_MAX + 1):
             for n in range(1, M_MAX + 1):
                 assert n * c[m][m + n] == m * c[n][n + m], (m, n)
+
+    def test_hecke_relation_whole_table(self):
+        # the Hecke relation c_m(n) = sum_{d | gcd(m, n)} (m/d) c(mn/d^2), with c the
+        # q-expansion of j, in exact integers over the whole advertised table
+        c = _j_int_coeffs(M_MAX * N_MAX)  # c[k + 1] is the q^k coefficient
+        for m in range(1, M_MAX + 1):
+            cm = _jm_int_coeffs(m, N_MAX)
+            for n in range(1, N_MAX + 1):
+                g = math.gcd(m, n)
+                want = sum((m // d) * c[m * n // d**2 + 1] for d in range(1, g + 1) if g % d == 0)
+                assert cm[m + n] == want, (m, n)
 
     @pytest.mark.parametrize("N", [1, 8, 64])
     def test_e4_and_e6_routes_agree(self, N):

@@ -29,6 +29,15 @@ def random_unimodular(rng: random.Random, size: int = 5) -> UnimodularMatrix:
     return g
 
 
+def _moved_square_forms() -> list[QuadForm]:
+    rng = random.Random(19)
+    reps = classes_square(9).reps + classes_square(16).reps
+    return [apply(random_unimodular(rng), Q0) for Q0 in reps for _ in range(10)]
+
+
+MOVED_SQUARE_FORMS = _moved_square_forms()
+
+
 class TestClassLists:
     @pytest.mark.parametrize(
         "d,h,orders", [(-3, 1, [3]), (-4, 1, [2]), (-7, 1, [1]), (-8, 1, [1]), (-23, 3, [1, 1, 1])]
@@ -129,12 +138,17 @@ class TestSquareForms:
                 assert Q.a * p * p + Q.b * p * q + Q.c * q * q == 0
                 assert math.gcd(abs(p), abs(q)) == 1
 
-    def test_reduce_square_lands_on_standard_form(self):
-        rng = random.Random(19)
-        for Q0 in classes_square(9).reps + classes_square(16).reps:
-            for _ in range(10):
-                g = random_unimodular(rng)
-                Q = apply(g, Q0)
-                red, gamma = reduce_square(Q)
-                assert red.c == 0 and red.b > 0
-                assert apply(gamma, Q) == red
+    @pytest.mark.parametrize(
+        "forms",
+        [
+            pytest.param(MOVED_SQUARE_FORMS, id="random"),
+            # a = 0: the first root is the cusp at infinity, (1, 0)
+            pytest.param([QuadForm(0, 3, 1), QuadForm(0, -4, 2), QuadForm(0, 5, -3)], id="a_zero"),
+        ],
+    )
+    def test_reduce_square_lands_on_standard_form(self, forms):
+        for Q in forms:
+            red, gamma = reduce_square(Q)
+            assert red.c == 0 and 0 <= red.a < red.b
+            assert red.b * red.b == Q.disc
+            assert apply(gamma, Q) == red

@@ -9,11 +9,16 @@ its own with PYTHONPATH=<tree>/src, through `mocktrace.cli.dispatch` with
 stdout and stderr captured per invocation:
 
 - every operation of bench/workloads.py's `trace_table` pool (`trace` and
-  `jm coeffs`);
+  `jm coeffs`), and `trace --route semicircle` on its square operations;
 - `coeff --d d --D 1` for the d of its `coeff_verify` pool;
+- `verify prop1` on the shapes of its `prop1_box` pool;
 - `qforms list --disc n` for -200 <= n <= 200;
 - `table --D 1 --m 1 --d-min -20 --d-max 30`;
-- `verify values`, `verify symmetry` and `verify kloosterman`.
+- `verify values`, `verify symmetry`, `verify kloosterman` and
+  `verify thm2 --d 1 --D 1 --m 1`;
+- usage errors: every `--cmax` at 0, -3, 250000 and `lots`,
+  `verify prop1 --bound` at 0, 3000 and `x`, and `--tol` at 0, -1, nan and
+  inf on `verify prop1` and `verify thm2`.
 
 Every difference in stdout bytes, in exit code or in an exception that
 escaped dispatch is printed, and the script exits 1 if there is any.
@@ -56,19 +61,34 @@ Path(sys.argv[2]).write_text(json.dumps(results))
 def invocations() -> list[list[str]]:
     sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
     sys.path.insert(0, str(ROOT / "bench"))
-    from workloads import coeff_verify_pool, trace_table_pool
+    from workloads import coeff_verify_pool, kind, prop1_box_pool, trace_table_pool
 
-    calls = []
+    calls, semicircle = [], []
     for op in trace_table_pool():
         name, *a = op.split()
         if name == "trace":
             calls.append(["trace", "--d", a[0], "--D", a[1], "--m", a[2]])
+            if kind(op) == "sq":
+                semicircle.append(calls[-1] + ["--route", "semicircle"])
         else:
             calls.append(["jm", "coeffs", "--m", a[0], "--n", a[1]])
+    calls += semicircle
     calls += [["coeff", "--d", op.split()[1], "--D", "1"] for op in coeff_verify_pool()]
+    for op in prop1_box_pool():
+        d, D, m, s, bound = op.split()[1:]
+        calls.append(["verify", "prop1", "--d", d, "--D", D, "--m", m, "--s", s]
+                     + ([] if bound == "default" else ["--bound", bound]))
     calls += [["qforms", "list", "--disc", str(n)] for n in range(-200, 201)]
     calls.append(["table", "--D", "1", "--m", "1", "--d-min", "-20", "--d-max", "30"])
     calls += [["verify", check] for check in ("values", "symmetry", "kloosterman")]
+    thm2 = ["verify", "thm2", "--d", "1", "--D", "1", "--m", "1"]
+    calls.append(thm2)
+    for command in (["coeff", "--d", "1", "--D", "1"], ["verify", "prop1"],
+                    ["verify", "kloosterman"], ["verify", "symmetry"]):
+        calls += [command + ["--cmax", v] for v in ("0", "-3", "250000", "lots")]
+    calls += [["verify", "prop1", "--bound", v] for v in ("0", "3000", "x")]
+    calls += [command + ["--tol", v] for command in (["verify", "prop1"], thm2)
+              for v in ("0", "-1", "nan", "inf")]
     return calls
 
 
