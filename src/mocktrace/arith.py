@@ -232,7 +232,8 @@ def bessel_J_vec(nu: float, x: np.ndarray) -> np.ndarray:
     h = 0.5 * x[small]
     w = -h * h
     series = 1.0 + w / (nu + 1) * (1.0 + w / (2 * (nu + 2)) * (1.0 + w / (3 * (nu + 3))))
-    out[small] = h**nu / math.gamma(nu + 1) * series
+    # Gamma overflows past 171.6; from nu + 1 = 171 on, (x/2)^nu / Gamma(nu + 1) < 1e-579 is 0.0
+    out[small] = h**nu / math.gamma(min(nu + 1, 171.0)) * series
     return out
 
 

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from scipy.integrate import quad
-
 from .arith import pell_fundamental
 from .modfun import M_MAX, N_DEFAULT, eval_jm, eval_jmQ
 from .qform import (
@@ -87,6 +85,7 @@ def _quad_complex(f: Callable[[float], complex], a: float, b: float):
     reversed limits, and closed cycles run from pi/2 down to the angle of
     the automorph image of the apex.)
     """
+    from scipy.integrate import quad  # here, so that only the routes that integrate load it
     memo: dict[float, complex] = {}
 
     def g(x: float) -> complex:

@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
 from .arith import (
     bessel_J_vec,
@@ -64,6 +63,12 @@ MODULUS_LIMIT = 4 * C_MAX_LIMIT
 C_MAX_FLOOR = 100
 KP_IMAG_TOL = 1e-9
 ROOT_SUM_BLOCK = 4096
+
+# _bessel_tail_integral sums a series up to z = arg0 / X = 8 and Gauss panels past
+# it.  The series' alternating terms outgrow their sum as z grows: its worst relative
+# error against mpmath (nu in [0.51, 4.5]) was 4e-15 at 8, 6e-14 at 12, 1.4e-10 at 20
+TAIL_SERIES_SPLIT = 8.0
+_gauss_legendre = lru_cache(maxsize=None)(leggauss)  # leggauss takes 0.3 ms a call
 
 DELTAS_DEFAULT = (0.2, 0.1, 0.05)
 CMAX_BY_DELTA = {0.2: 30_000, 0.1: 100_000, 0.05: 200_000}
@@ -552,11 +557,32 @@ def _root_sum_at(d: int, D: int, c: int, m: int = 1) -> float:
 
 
 def _bessel_tail_integral(nu: float, arg0: float, X: float) -> float:
-    """int_X^inf J_nu(arg0 / c) / sqrt c dc via the substitution u = 1/c."""
-    val, _ = quad(
-        lambda u: special.jv(nu, arg0 * u) * u**-1.5, 0.0, 1.0 / X, epsabs=1e-12, limit=200
-    )
-    return val
+    """int_X^inf J_nu(arg0 / c) / sqrt c dc = arg0^{1/2} int_0^z J_nu(u) u^{-3/2} du, z = arg0 / X.
+
+    Needs nu > 1/2.  Up to z0 = min(z, TAIL_SERIES_SPLIT) it is the series
+    sum_k (-1)^k (z0/2)^{2k+nu} z0^{-1/2} / (k! Gamma(k+nu+1) (2k+nu-1/2)), its
+    (z0/2)^nu / Gamma(nu+1) taken through logs so that it cannot overflow.
+    8-node Gauss-Legendre panels add the rest, pi wide, or pi t / nu at t < nu,
+    where J_nu(t) rises with log-derivative below nu / t.
+    """
+    z = arg0 / X
+    z0 = min(z, TAIL_SERIES_SPLIT)
+    term, total = 1.0, 1.0 / (nu - 0.5)
+    for k in range(1, 100):
+        term *= -0.25 * z0 * z0 / (k * (nu + k))
+        total += term / (2 * k + nu - 0.5)
+        if abs(term) < 1e-17 * abs(total):
+            break
+    value = total * math.exp(nu * math.log(0.5 * z0) - math.lgamma(nu + 1)) / math.sqrt(z0)
+    if z > z0:
+        edges = [z0]
+        while edges[-1] < z:
+            edges.append(min(z, edges[-1] + math.pi * min(1.0, edges[-1] / nu)))
+        half = 0.5 * np.diff(edges)
+        x, weights = _gauss_legendre(8)
+        u = (np.array(edges[:-1]) + half)[:, None] + half[:, None] * x
+        value += float(half @ (bessel_J_vec(nu, u) * u**-1.5 @ weights))
+    return math.sqrt(arg0) * value
 
 
 def _complete_tail(terms: np.ndarray, weights: np.ndarray, tail) -> tuple[float, float, float]:
@@ -642,6 +668,10 @@ def _delta_grid(deltas: tuple[float, ...], c_max_by_delta: dict | None) -> list[
     for delta in deltas:
         if not 0 < delta < math.inf:
             raise ValueError(f"deltas must be positive and finite, got {delta}")
+        try:
+            gamma_real(1.5 + 2 * delta)  # b(0, 0, s) carries Gamma(2s)
+        except OverflowError:
+            raise ValueError(f"delta {delta} is too large: Gamma(2s) overflows a double") from None
     if len(set(deltas)) < 3:
         raise ValueError(
             f"the extrapolation needs at least 3 distinct deltas, got {len(set(deltas))}"

@@ -357,6 +357,21 @@ class TestBesselJVecSeries:
         assert bessel_J_vec(0.5, np.ones((2, 3))).shape == (2, 3)
 
 
+class TestBesselJVecLargeOrder:
+    """Past nu ~ 170.6 Gamma(nu + 1) overflows; the small arguments underflow to 0 instead."""
+
+    @pytest.mark.parametrize("nu", [170.0, 171.0, 200.0, 400.0])
+    def test_matches_mpmath(self, nu):
+        xs = np.concatenate(([0.0, 1e-300, 1e-12, 0.01, 0.049, 0.051, 1.0],
+                             np.geomspace(10, 1000, 25)))
+        got = bessel_J_vec(nu, xs)
+        with mpmath.workdps(30):
+            for x, v in zip(map(float, xs), got):
+                ref = float(mpmath.besselj(nu, x))
+                # scipy's jv keeps about 12 digits at these orders; abs covers subnormals
+                assert v == pytest.approx(ref, rel=1e-11, abs=1e-300), (nu, x)
+
+
 class TestInverseMod:
     """The one vectorized modular inverse against Python's pow(x, -1, q)."""
 

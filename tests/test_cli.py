@@ -19,16 +19,18 @@ from mocktrace.cli import (
 )
 
 
-def _fresh_process(argv, **env_overrides):
-    """(exit code, stdout, stderr) of `python -m mocktrace.cli argv` in a new interpreter."""
+def _fresh_python(args, **env_overrides):
+    """(exit code, stdout, stderr) of `python args` in a new interpreter that finds this mocktrace."""
     env = dict(os.environ, **env_overrides)
     src = str(Path(mocktrace.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "mocktrace.cli", *argv],
-        capture_output=True, env=env, timeout=120,
-    )
+    proc = subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
     return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def _fresh_process(argv, **env_overrides):
+    """(exit code, stdout, stderr) of `python -m mocktrace.cli argv` in a new interpreter."""
+    return _fresh_python(["-m", "mocktrace.cli", *argv], **env_overrides)
 
 
 def _jm_lines(out: str, m: int, N: int) -> list[float]:
@@ -212,6 +214,8 @@ class TestDeltaGrid:
             (["0.2", "0.2", "0.2"], "the extrapolation needs at least 3 distinct deltas, got 1"),
             (["0.2", "0.1", "0"], "deltas must be positive and finite, got 0.0"),
             (["0.2", "0.1", "-0.05"], "deltas must be positive and finite, got -0.05"),
+            # b(0, 0, s) carries Gamma(2s), past the double range from s = 85.8 on
+            (["85", "86", "87"], "delta 86.0 is too large: Gamma(2s) overflows a double"),
         ],
     )
     def test_unusable_deltas_are_a_usage_error(self, deltas, message, capsys):
@@ -292,6 +296,21 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert dispatch(["trace", "--d", "1", "--D", "1", "--m", "1", "--zzz"]) == EXIT_USAGE
+
+
+class TestImportBoundary:
+    # only the geodesic quadrature imports scipy.integrate, on first use; the
+    # spectral side integrates its Bessel tail itself, so it never loads it
+    def test_prop1_leaves_scipy_integrate_unloaded(self):
+        code = (
+            "import sys\n"
+            "from mocktrace import cli\n"
+            "assert 'scipy.integrate' not in sys.modules, 'imported'\n"
+            "assert cli.dispatch(['verify', 'prop1', '--m', '1', '--bound', '60']) == 0\n"
+            "assert 'scipy.integrate' not in sys.modules, 'dispatched'\n"
+        )
+        rc, _, err = _fresh_python(["-c", code])
+        assert rc == 0, err
 
 
 class TestParserReuse:

@@ -4,6 +4,7 @@ import cmath
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,8 @@ from mocktrace import series
 from mocktrace.series import (
     C_MAX_LIMIT,
     MODULUS_LIMIT,
+    TAIL_SERIES_SPLIT,
+    _bessel_tail_integral,
     _kp_direct,
     _root_sum_array,
     _spf_sieve,
@@ -229,6 +232,42 @@ class TestProp1Rhs:
             prop1_rhs(2, 1, 0, 2.0)
 
 
+class TestBesselTailIntegral:
+    """int_X^inf J_nu(A / c) / sqrt c dc against the 1F2 closed form at 60 digits."""
+
+    @staticmethod
+    def oracle(nu: float, z: float) -> float:
+        # A^{-1/2} times the integral: int_0^z J_nu(t) t^{-3/2} dt, a = nu - 1/2
+        with mpmath.workdps(60):
+            nu, z = mpmath.mpf(nu), mpmath.mpf(z)
+            a = nu - mpmath.mpf(1) / 2
+            hyp = mpmath.hyp1f2(a / 2, nu + 1, a / 2 + 1, -z * z / 4)
+            return float(z**a / (2**nu * mpmath.gamma(nu + 1) * a) * hyp)
+
+    @pytest.mark.parametrize("nu", [0.51, 0.55, 0.7, 1.0, 1.5, 2.5, 4.5, 200.0])
+    def test_matches_closed_form(self, nu):
+        split = TAIL_SERIES_SPLIT
+        zs = [*np.geomspace(1e-3, 2000, 30), split * (1 - 1e-9), split, split * (1 + 1e-9)]
+        for X in (10.5, 1000.5):
+            for z in zs:
+                ref = self.oracle(nu, z)
+                got = _bessel_tail_integral(nu, z * X, X) / math.sqrt(z * X)
+                # at nu = 200 the small z underflow to 0 on both sides
+                assert got == pytest.approx(ref, rel=1e-12, abs=1e-300), (nu, z, X)
+
+    def test_prop1_rhs_at_large_z(self):
+        # A = 100 pi at the first checkpoint X = 10.5: z = 29.9, past the split;
+        # the reference is the same series with the tail integral by scipy's
+        # adaptive quad (epsabs 1e-12)
+        assert prop1_rhs(100, 1, 10, 2.0, c_max=100).value == pytest.approx(
+            -494.8792140304977, rel=1e-10
+        )
+
+    def test_order_past_gamma_overflow(self):
+        # nu = s - 1/2 = 171.5: Gamma(nu + 1) overflows, the weights underflow
+        assert abs(prop1_rhs(1, 1, 1, 172.0, c_max=100).value) < 1e-270
+
+
 class TestRootSumArray:
     """The batched CRT assembly against the definition of the root sums."""
 
@@ -416,6 +455,7 @@ class TestModulusCeiling:
                 {"c_max_by_delta": {0.2: 30_000, 0.1: 100_000, 0.05: 50}},
                 "c_max must be at least 100, got 50 for delta 0.05",
             ),
+            ({"deltas": (100, 150, 200)}, r"delta 100 is too large: Gamma\(2s\) overflows"),
         ],
     )
     @pytest.mark.parametrize("fn", [coeff_a], ids=["coeff_a"])
