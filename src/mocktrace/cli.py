@@ -20,7 +20,6 @@ import argparse
 import csv
 import dataclasses
 import functools
-import io
 import json
 import math
 import sys
@@ -34,26 +33,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_VERIFY = 2
 EXIT_USAGE = 64
-
-
-# ------------------------------------------------------------- formatting
-
-def format_jm(m: int, N: int, coeffs: list[float]) -> str:
-    lines = [f"# jm m={m} N={N} version=1"]
-    lines.extend(repr(c) for c in coeffs)
-    return "\n".join(lines) + "\n"
-
-
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        keys = ["d", "D", "m", "value", "method", "err_estimate", "params"]
-        writer.writerow(keys)
-        writer.writerow([json.dumps(payload[k]) if k == "params" else payload.get(k, "") for k in keys])
-        sys.stdout.write(buf.getvalue())
 
 
 # ------------------------------------------------------------ subcommands
@@ -71,7 +50,7 @@ def _route_trace(d: int, D: int, m: int, route: str):
 
 def _cmd_trace(args) -> int:
     res = _route_trace(args.d, args.D, args.m, args.route)
-    _emit(dataclasses.asdict(res), args.format)
+    print(json.dumps(dataclasses.asdict(res), sort_keys=True))
     return EXIT_OK
 
 
@@ -79,7 +58,7 @@ def _cmd_coeff(args) -> int:
     deltas = tuple(args.deltas or series.DELTAS_DEFAULT)
     c_max_by_delta = dict.fromkeys(deltas, args.cmax) if args.cmax else None
     sv = series.coeff_a(args.d, args.D, deltas, c_max_by_delta)
-    _emit({"d": args.d, "D": args.D, **dataclasses.asdict(sv)}, args.format)
+    print(json.dumps({"d": args.d, "D": args.D, **dataclasses.asdict(sv)}, sort_keys=True))
     return EXIT_OK
 
 
@@ -99,7 +78,8 @@ def _cmd_qforms_list(args) -> int:
 
 
 def _cmd_jm_coeffs(args) -> int:
-    sys.stdout.write(format_jm(args.m, args.n, modfun.jm_coeffs(args.m, args.n)))
+    coeffs = modfun.jm_coeffs(args.m, args.n)
+    print(f"# jm m={args.m} N={args.n} version=1", *map(repr, coeffs), sep="\n")
     return EXIT_OK
 
 
@@ -122,6 +102,11 @@ def _verify_report(name: str, lhs: float, rhs: float, tol: float, relative: bool
         )
     )
     return EXIT_OK if ok else EXIT_VERIFY
+
+
+def _worst_report(name: str, worst: float, tol: float) -> int:
+    print(json.dumps({"check": name, "worst_abs_delta": worst, "pass": worst <= tol}))
+    return EXIT_OK if worst <= tol else EXIT_VERIFY
 
 
 def _cmd_verify_prop1(args) -> int:
@@ -151,8 +136,7 @@ def _cmd_verify_kloosterman(args) -> int:
                     for n in series.divisors(math.gcd(m, c))
                 )
                 worst = max(worst, abs(lhs - rhs))
-    print(json.dumps({"check": "kloosterman", "worst_abs_delta": worst, "pass": worst <= 1e-9}))
-    return EXIT_OK if worst <= 1e-9 else EXIT_VERIFY
+    return _worst_report("kloosterman", worst, 1e-9)
 
 
 def _cmd_verify_symmetry(args) -> int:
@@ -167,8 +151,7 @@ def _cmd_verify_symmetry(args) -> int:
                 a = series.kloosterman_plus(d, D, 4 * c)
                 b = series.kloosterman_plus(D, d, 4 * c)
                 worst = max(worst, abs(a - b))
-    print(json.dumps({"check": "symmetry", "worst_abs_delta": worst, "pass": worst <= 1e-9}))
-    return EXIT_OK if worst <= 1e-9 else EXIT_VERIFY
+    return _worst_report("symmetry", worst, 1e-9)
 
 
 def _cmd_verify_values(args) -> int:
@@ -177,18 +160,25 @@ def _cmd_verify_values(args) -> int:
     for (d, D, m), want in targets.items():
         got = geodesic.trace_negative(d, D, m).value
         worst = max(worst, abs(got - want))
-    print(json.dumps({"check": "values", "worst_abs_delta": worst, "pass": worst <= 1e-6}))
-    return EXIT_OK if worst <= 1e-6 else EXIT_VERIFY
+    return _worst_report("values", worst, 1e-6)
 
 
 def _cmd_table(args) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(["d", "D", "m", "value", "method", "err_estimate", "params"])
+    failed = False
     for d in range(args.d_min, args.d_max + 1):
         if d % 4 not in (0, 1) or d * args.D == 0:
             writer.writerow([d, args.D, args.m, "", "skipped", "", "{}"])
             continue
-        res = _route_trace(d, args.D, args.m, "vertical")
+        try:
+            res = _route_trace(d, args.D, args.m, "vertical")
+        except (ValueError, ArithmeticError) as exc:
+            # one failed d leaves a row of its own; the rest of the range still runs
+            print(f"error: {exc}", file=sys.stderr)
+            writer.writerow([d, args.D, args.m, "", "failed", "", json.dumps({"error": str(exc)})])
+            failed = True
+            continue
         writer.writerow(
             [
                 res.d,
@@ -200,7 +190,7 @@ def _cmd_table(args) -> int:
                 json.dumps(res.params, sort_keys=True),
             ]
         )
-    return EXIT_OK
+    return EXIT_DOMAIN if failed else EXIT_OK
 
 
 # --------------------------------------------------------------- dispatch
@@ -228,6 +218,14 @@ def _number(cast, floor=None, ceiling=math.inf):
     return parse
 
 
+def _ints(parser: argparse.ArgumentParser, *names: str, **defaults: int) -> None:
+    """The integer options --name, in order; one is required unless it has a default."""
+    for name in names:
+        parser.add_argument(
+            f"--{name}", type=int, required=name not in defaults, default=defaults.get(name)
+        )
+
+
 class _Deltas(argparse.Action):
     """--deltas: the extrapolation grid, checked by series' own rules at parse time."""
 
@@ -250,19 +248,15 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     """The argument parser, built once per process; parse_args leaves it unchanged."""
     p = _Parser(prog="mocktrace", description="Traces of modular functions over quadratic forms")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("trace", help="one twisted trace")
-    t.add_argument("--d", type=int, required=True)
-    t.add_argument("--D", type=int, required=True)
-    t.add_argument("--m", type=int, required=True)
+    _ints(t, "d", "D", "m")
     t.add_argument("--route", choices=["vertical", "semicircle"], default="vertical")
     t.set_defaults(func=_cmd_trace)
 
     c = sub.add_parser("coeff", help="series-side coefficient a(d, D)")
-    c.add_argument("--d", type=int, required=True)
-    c.add_argument("--D", type=int, required=True)
+    _ints(c, "d", "D")
     c.add_argument("--deltas", type=float, nargs="+", action=_Deltas)
     c.add_argument("--cmax", type=_number(int, series.C_MAX_FLOOR, series.C_MAX_LIMIT))
     c.set_defaults(func=_cmd_coeff)
@@ -270,23 +264,20 @@ def _build_parser() -> _Parser:
     q = sub.add_parser("qforms", help="quadratic form utilities")
     qs = q.add_subparsers(dest="qcommand", required=True)
     ql = qs.add_parser("list", help="class representatives for one discriminant")
-    ql.add_argument("--disc", type=int, required=True)
+    _ints(ql, "disc")
     ql.set_defaults(func=_cmd_qforms_list)
 
     j = sub.add_parser("jm", help="Faber basis utilities")
     js = j.add_subparsers(dest="jcommand", required=True)
     jc = js.add_parser("coeffs", help="print the q-expansion of j_m")
-    jc.add_argument("--m", type=int, required=True)
-    jc.add_argument("--n", type=int, required=True)
+    _ints(jc, "m", "n")
     jc.set_defaults(func=_cmd_jm_coeffs)
 
     v = sub.add_parser("verify", help="cross-checks between pipelines")
     vs = v.add_subparsers(dest="vcommand", required=True)
 
     vp = vs.add_parser("prop1")
-    vp.add_argument("--d", type=int, default=1)
-    vp.add_argument("--D", type=int, default=1)
-    vp.add_argument("--m", type=int, default=0)
+    _ints(vp, "d", "D", "m", d=1, D=1, m=0)
     vp.add_argument("--s", type=float, default=2.0)
     vp.add_argument("--bound", type=_number(int, ceiling=poincare.BOUND_LIMIT))
     vp.add_argument("--cmax", type=_number(int, series.C_MAX_FLOOR, series.C_MAX_LIMIT), default=10_000)
@@ -294,9 +285,7 @@ def _build_parser() -> _Parser:
     vp.set_defaults(func=_cmd_verify_prop1)
 
     vt = vs.add_parser("thm2")
-    vt.add_argument("--d", type=int, required=True)
-    vt.add_argument("--D", type=int, required=True)
-    vt.add_argument("--m", type=int, required=True)
+    _ints(vt, "d", "D", "m")
     vt.add_argument("--tol", type=_number(float))
     vt.set_defaults(func=_cmd_verify_thm2)
 
@@ -312,10 +301,7 @@ def _build_parser() -> _Parser:
     vv.set_defaults(func=_cmd_verify_values)
 
     tb = sub.add_parser("table", help="CSV of traces over a d-range")
-    tb.add_argument("--D", type=int, required=True)
-    tb.add_argument("--m", type=int, required=True)
-    tb.add_argument("--d-min", type=int, required=True)
-    tb.add_argument("--d-max", type=int, required=True)
+    _ints(tb, "D", "m", "d-min", "d-max")
     tb.set_defaults(func=_cmd_table)
 
     return p

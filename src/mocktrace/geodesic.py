@@ -99,14 +99,26 @@ def _quad_complex(f: Callable[[float], complex], a: float, b: float):
     return complex(re, im), re_err + im_err, g
 
 
-def cycle_integral_closed(Q: QuadForm, integrand: Callable[[complex], complex]) -> complex:
-    """One period of the cycle integral of integrand * dtau / Q(tau, 1).
+def cycle_integral_closed(
+    Q: QuadForm, integrand: Callable[[complex], complex]
+) -> tuple[complex, float]:
+    """One period of the cycle integral of integrand * dtau / Q(tau, 1), and quad's abserr.
 
     The discriminant must be positive and nonsquare.  The path runs along
     the semicircle S_Q from the apex to its image under the automorph, on
-    which d tau / Q(tau, 1) = sign(a) dtheta / (sqrt(d) sin theta).
+    which d tau / Q(tau, 1) = sign(a) dtheta / (sqrt(d) sin theta); the
+    abserr is on the same scale as the integral.
     """
-    return _cycle_integral_closed(Q, integrand)[0]
+    d = Q.disc
+    if d <= 0 or math.isqrt(d) ** 2 == d:
+        raise ValueError(f"closed cycles need a positive nonsquare discriminant, got {d}")
+    c0 = -Q.b / (2 * Q.a)
+    end = automorph_generator(Q).moebius(complex(c0, math.sqrt(d) / (2 * abs(Q.a))))
+    # end lies on the same semicircle, so its angle is in (0, pi)
+    total, abserr, _ = _semicircle_integral(
+        Q, integrand, math.pi / 2, math.atan2(end.imag, end.real - c0)
+    )
+    return total / math.sqrt(d), abserr / math.sqrt(d)
 
 
 def _semicircle_integral(Q: QuadForm, f, th0: float, th1: float):
@@ -123,20 +135,6 @@ def _semicircle_integral(Q: QuadForm, f, th0: float, th1: float):
         th1,
     )
     return (1 if Q.a > 0 else -1) * total, abserr, g
-
-
-def _cycle_integral_closed(Q: QuadForm, integrand) -> tuple[complex, float]:
-    """cycle_integral_closed and quad's abserr on the same scale."""
-    d = Q.disc
-    if d <= 0 or math.isqrt(d) ** 2 == d:
-        raise ValueError(f"closed cycles need a positive nonsquare discriminant, got {d}")
-    c0 = -Q.b / (2 * Q.a)
-    end = automorph_generator(Q).moebius(complex(c0, math.sqrt(d) / (2 * abs(Q.a))))
-    # end lies on the same semicircle, so its angle is in (0, pi)
-    total, abserr, _ = _semicircle_integral(
-        Q, integrand, math.pi / 2, math.atan2(end.imag, end.real - c0)
-    )
-    return total / math.sqrt(d), abserr / math.sqrt(d)
 
 
 def trace_negative(d: int, D: int, m: int) -> TraceResult:
@@ -187,7 +185,7 @@ def trace_nonsquare(d: int, D: int, m: int) -> TraceResult:
         ch = chi_D(D, Q)
         if ch == 0:
             continue
-        value, abserr = _cycle_integral_closed(Q, lambda tau: eval_jm(m, tau))
+        value, abserr = cycle_integral_closed(Q, lambda tau: eval_jm(m, tau))
         total += ch * value
         quad_err += abserr
     total /= 2 * math.pi

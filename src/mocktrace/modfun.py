@@ -76,7 +76,6 @@ def _series_div(f: list[int], g: list[int], n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=8)
 def _j_int_coeffs(N: int) -> tuple[int, ...]:
     """Exact integer coefficients c(-1), c(0), ..., c(N) of the j-invariant.
 

@@ -260,29 +260,19 @@ def reduce_square(Q: QuadForm) -> tuple[QuadForm, UnimodularMatrix]:
 
     Returns (R, gamma) with R = [a, b, 0], 0 <= a < b = sqrt(disc), and
     apply(gamma, Q) = R.  Follows the constructive argument: kill the last
-    coefficient with a matrix built from a root of Q, fix the sign of the
-    middle coefficient, then translate the first coefficient into [0, b).
+    coefficient with a matrix built from a root of Q, the root that leaves
+    the middle coefficient +b, then translate the first coefficient into [0, b).
     """
-    # step 1: gamma1 Q = [a1, +-b, 0]; need (gamma1 Q)(0,1) = Q(-B, A) = 0,
+    # step 1: gamma Q = [a1, +-b, 0]; need (gamma Q)(0,1) = Q(-B, A) = 0,
     # i.e. (-B, A) = -(p, q) for a root vector (p, q): the top row of
-    # S @ cusp_matrix(p, q) is (-q, p).  Q.roots() rejects a nonsquare Q.
-    gamma = S @ cusp_matrix(*Q.roots()[0])
+    # S @ cusp_matrix(p, q) is (-q, p).  Sending one root to infinity leaves
+    # +b and the other -b.  Q.roots() rejects a nonsquare Q.
+    moves = [S @ cusp_matrix(*r) for r in Q.roots()]
     e = math.isqrt(Q.disc)
+    gamma = next(g for g in moves if apply(g, Q).b == e)
     R = apply(gamma, Q)
-    assert R.c == 0 and abs(R.b) == e, (Q, R)
-    # step 2: if the middle coefficient is -b, flip with M = [[a/g, -b/g], [x, w]],
-    # a w + b x = g = gcd(a, b): M [a, -b, 0] = [g w, b, 0].
-    if R.b == -e:
-        a = R.a
-        if a == 0:
-            M = S  # S [0, -b, 0] = [0, b, 0]
-        else:
-            g, w, x = _xgcd(a, e)
-            M = UnimodularMatrix(a // g, -e // g, x, w)
-        gamma = M @ gamma
-        R = apply(M, R)
     assert R.c == 0 and R.b == e, (Q, R)
-    # step 3: translate a into [0, b): [[1,0],[k,1]] [a, b, 0] = [a - k b, b, 0]
+    # step 2: translate a into [0, b): [[1,0],[k,1]] [a, b, 0] = [a - k b, b, 0]
     k = R.a // e
     if k != 0:
         M = UnimodularMatrix(1, 0, k, 1)

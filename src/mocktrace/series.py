@@ -486,8 +486,8 @@ def _root_sums(d: int, D: int, c: np.ndarray, m: int, factors: list) -> np.ndarr
     """R(c) = sum over b mod 4c with b^2 = dD of chi_D([c,b,*]) e(mb/2c), per modulus of c.
 
     For m = 1 this is K+(d, D; 4c) / (2 sqrt c).  D carries the character
-    when it is 1 or fundamental, else d does; with neither there is no fast
-    route.  chi_D is the product of (p*/n) over the prime discriminants p*
+    when it is 1 or fundamental, else d does (each caller checks that one
+    is).  chi_D is the product of (p*/n) over the prime discriminants p*
     of D, each read off any value n of the form [c, b, (b^2 - dD)/4c] prime
     to p: c itself when p does not divide c, the last coefficient when it
     does.  That last coefficient times 4c/q is (b^2 - dD)/q, with
@@ -500,12 +500,7 @@ def _root_sums(d: int, D: int, c: np.ndarray, m: int, factors: list) -> np.ndarr
     from q to its row, and lives for one call; the moduli are processed in
     blocks of ROOT_SUM_BLOCK.
     """
-    if is_fundamental_discriminant(D):
-        dd, DD = d, D
-    elif is_fundamental_discriminant(d):
-        dd, DD = D, d
-    else:
-        raise ValueError(f"no fast Kloosterman route for d={d}, D={D}")
+    dd, DD = (d, D) if is_fundamental_discriminant(D) else (D, d)
     a = dd * DD
     qs, start, roots = _local_root_table(a, factors)
     sign, weights = np.ones_like(c), None

@@ -230,7 +230,7 @@ def test_criterion_10_structural_suite():
     for d in (5, 8, 12, 13):
         expected = 2.0 * math.log(pell_fundamental(d).unit) / math.sqrt(d)
         for Q in classes_nonsquare(d).reps:
-            got = cycle_integral_closed(Q, lambda tau: 1.0 + 0.0j).real
+            got = cycle_integral_closed(Q, lambda tau: 1.0 + 0.0j)[0].real
             cycle_worst = max(cycle_worst, abs(got - expected))
 
     # (d) Gamma-invariance of eval_jm via fundamental-domain base points

@@ -1,6 +1,9 @@
 """CLI dispatch, serialization and exit codes; the CLI keeps no state on disk."""
 
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -175,6 +178,27 @@ class TestTableCommand:
         assert methods["5"] == "closed_cycle"
         assert methods["4"] == "cusp_cycle"
 
+    def test_failed_d_leaves_a_row_and_the_range_goes_on(self, capsys):
+        # the closed-cycle quadrature fails its imaginary-residue check at d = 29,
+        # 37, 40, 41, 44 and 45; the squares and nonsquares between still run
+        args = ["table", "--D", "1", "--m", "1", "--d-min", "25", "--d-max", "45"]
+        assert dispatch(args) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        header, *body = csv.reader(io.StringIO(captured.out))
+        assert header == ["d", "D", "m", "value", "method", "err_estimate", "params"]
+        rows = {int(r[0]): r for r in body}
+        assert sorted(rows) == list(range(25, 46))
+        failed = {d: r for d, r in rows.items() if r[4] == "failed"}
+        assert 29 in failed
+        errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == len(failed)
+        for (d, r), line in zip(sorted(failed.items()), errors):
+            assert r[1:4] == ["1", "1", ""] and r[5] == ""
+            message = json.loads(r[6])["error"]
+            assert line == f"error: {message}" and f"({d},1,1)" in message
+        for d, method in ((32, "closed_cycle"), (33, "closed_cycle"), (36, "cusp_cycle")):
+            assert rows[d][4] == method and math.isfinite(float(rows[d][3]))
+
     def test_warm_cache_byte_identical(self, capsys):
         args = ["table", "--D", "1", "--m", "1", "--d-min", "4", "--d-max", "5"]
         assert dispatch(args) == EXIT_OK
@@ -319,7 +343,7 @@ class TestParserReuse:
     SEQUENCE = [
         (["trace", "--d", "-7", "--D", "1", "--m", "2"], EXIT_OK),
         (["trace", "--d", "-7", "--D", "1"], EXIT_USAGE),
-        (["--format", "csv", "trace", "--d", "5", "--D", "1", "--m", "1"], EXIT_OK),
+        (["--format", "csv", "trace", "--d", "5", "--D", "1", "--m", "1"], EXIT_USAGE),
         (["jm", "coeffs", "--m", "2", "--n", "8"], EXIT_OK),
     ]
 

@@ -57,9 +57,10 @@ class TestClosedCycleIntegral:
         # int dtau_Q over one period equals 2 log eps_d / sqrt(d)
         expected = 2.0 * math.log(pell_fundamental(d).unit) / math.sqrt(d)
         for Q in classes_nonsquare(d).reps:
-            got = cycle_integral_closed(Q, lambda tau: 1.0 + 0.0j)
+            got, abserr = cycle_integral_closed(Q, lambda tau: 1.0 + 0.0j)
             assert abs(got.imag) < 1e-10
             assert abs(got.real - expected) < 1e-8, (d, Q)
+            assert 0 <= abserr <= 1e-8, (d, Q)
 
     def test_square_disc_rejected(self):
         with pytest.raises(ValueError):

@@ -46,6 +46,26 @@ def export_tree(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def short_rev(rev: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", rev],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+def run_pairs(trees: dict[str, Path], pairs: int, run) -> list[dict]:
+    """run(tree) in the parent and the change tree, `pairs` times, the parent first in even pairs.
+
+    Returns one {"pair", "side", "first", "result"} record per run, result
+    being what run returned.
+    """
+    runs = []
+    for i in range(pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs.append({"pair": i, "side": side, "first": order[0], "result": run(trees[side])})
+            print(f"pair {i} {side} done", flush=True)
+    return runs
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
@@ -95,21 +115,17 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     seconds = spec["run_seconds"]
-    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
-                         check=True, capture_output=True, text=True).stdout.strip()
+    rev = short_rev(args.parent)
 
-    runs = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         trees = {"parent": Path(tmp), "change": ROOT}
         export_tree(rev, trees["parent"])
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                result = run_bench(trees[side], args.workload, args.seed, seconds, args.trace)
-                runs.append({"pair": i, "side": side, "first": order[0], "result": result})
-                wall = result["metrics"].get("wall_s", {}).get("value")
-                print(f"pair {i} {side}: failed {result['failed']}"
-                      + (f", wall_s {wall:.3f}" if wall is not None else ""), flush=True)
+        runs = run_pairs(trees, args.pairs, lambda tree: run_bench(
+            tree, args.workload, args.seed, seconds, args.trace))
+    for r in runs:
+        wall = r["result"]["metrics"].get("wall_s", {}).get("value")
+        print(f"pair {r['pair']} {r['side']}: failed {r['result']['failed']}"
+              + (f", wall_s {wall:.3f}" if wall is not None else ""))
 
     key = args.workload
     if args.seed != 7:

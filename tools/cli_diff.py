@@ -13,7 +13,9 @@ stdout and stderr captured per invocation:
 - `coeff --d d --D 1` for the d of its `coeff_verify` pool;
 - `verify prop1` on the shapes of its `prop1_box` pool;
 - `qforms list --disc n` for -200 <= n <= 200;
-- `table --D 1 --m 1 --d-min -20 --d-max 30`;
+- `jm coeffs` at (m, N) = (0, 1) and (10, 64);
+- `table --D 1 --m 1` over d in [-20, 30] and [25, 45], and
+  `table --D 5 --m 1` over d in [-12, 12];
 - `verify values`, `verify symmetry`, `verify kloosterman` and
   `verify thm2 --d 1 --D 1 --m 1`;
 - usage errors: every `--cmax` at 0, -3, 250000 and `lots`,
@@ -79,7 +81,9 @@ def invocations() -> list[list[str]]:
         calls.append(["verify", "prop1", "--d", d, "--D", D, "--m", m, "--s", s]
                      + ([] if bound == "default" else ["--bound", bound]))
     calls += [["qforms", "list", "--disc", str(n)] for n in range(-200, 201)]
-    calls.append(["table", "--D", "1", "--m", "1", "--d-min", "-20", "--d-max", "30"])
+    calls += [["jm", "coeffs", "--m", m, "--n", n] for m, n in (("0", "1"), ("10", "64"))]
+    calls += [["table", "--D", D, "--m", "1", "--d-min", lo, "--d-max", hi]
+              for D, lo, hi in (("1", "-20", "30"), ("1", "25", "45"), ("5", "-12", "12"))]
     calls += [["verify", check] for check in ("values", "symmetry", "kloosterman")]
     thm2 = ["verify", "thm2", "--d", "1", "--D", "1", "--m", "1"]
     calls.append(thm2)
@@ -97,6 +101,7 @@ def main() -> int:
     ap.add_argument("--parent", required=True, help="git revision of the parent tree")
     args = ap.parse_args()
     calls = invocations()
+    print(f"running {len(calls)} invocations in each tree", flush=True)
     with tempfile.TemporaryDirectory(prefix="cli-diff-") as tmp:
         tmp = Path(tmp)
         trees = {"parent": tmp / "parent", "change": ROOT}
