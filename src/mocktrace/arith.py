@@ -4,9 +4,9 @@ Kronecker symbol, the theta-multiplier unit eps_a, divisor sums, fundamental
 solutions of t^2 - d u^2 = 4, the vectorized modular inverse, and the real
 special functions (Gamma, zeta, Dirichlet L, Bessel J and I of real order)
 that the series and Poincare modules consume.  zeta, L and Bessel J come
-from scipy.special, zeta and L behind the package's own domain checks;
-the vectorized I_nu of the coset sum, and J_nu at small arguments, keep an
-ascending series, which is faster there than scipy's.
+from scipy.special (imported on first use), zeta and L behind the package's
+own domain checks; the vectorized I_nu of the coset sum, and J_nu at small
+arguments, keep an ascending series, which is faster there than scipy's.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "PellSolution",
@@ -173,6 +172,7 @@ def zeta_real(s: float) -> float:
     """Riemann zeta for real s > 1."""
     if s <= 1:
         raise ValueError(f"zeta_real requires s > 1, got {s}")
+    from scipy import special
     return float(special.zeta(s))
 
 
@@ -209,6 +209,7 @@ def dirichlet_L(D: int, s: float) -> float:
         raise ValueError(f"D must be a fundamental discriminant, got {D}")
     if D == 1:
         return zeta_real(s)
+    from scipy import special
     q = abs(D)
     terms = (kronecker(D, r) * float(special.zeta(s, r / q)) for r in range(1, q + 1))
     return q ** (-s) * sum(terms)
@@ -225,6 +226,7 @@ def bessel_J_vec(nu: float, x: np.ndarray) -> np.ndarray:
     Below x = 0.05 four terms of the ascending series leave a relative tail
     under (x/2)^8 / (4! (nu+1)_4) < 3e-16, so only larger x go to scipy.
     """
+    from scipy import special
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     small = x < 0.05

@@ -53,6 +53,7 @@ IMAG_RESIDUE_TOL = 1e-8
 # CM sums have no quadrature error, only rounding in j_m(tau_Q), so their
 # imaginary residue is bounded relative to the summed magnitudes.
 CM_IMAG_RESIDUE_REL = 1e-12
+LOG_DBL_MAX = 1024 * math.log(2)  # and each j_m(tau_Q) must stay below DBL_MAX ~ 2^1024
 
 
 @dataclass
@@ -143,6 +144,9 @@ def trace_negative(d: int, D: int, m: int) -> TraceResult:
         raise ValueError(f"trace_negative needs d < 0 < D, got d={d}, D={D}")
     _check_m(m, 1)
     _check_twist(d, D)
+    if (log_j := math.pi * m * math.sqrt(-d * D)) > LOG_DBL_MAX:  # ln|j_m| at the principal tau_Q
+        raise ValueError(f"trace_negative(d={d}, D={D}, m={m}): j_m overflows a double at the "
+                         f"CM points, pi m sqrt|dD| = {log_j:.2f} > ln(DBL_MAX) = {LOG_DBL_MAX:.2f}")
     cl = classes_negative(d * D)
     total = 0.0 + 0.0j
     scale = 0.0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from functools import lru_cache
 
 from .arith import sigma_real
@@ -32,6 +33,8 @@ M_MAX = 10
 V_STAR = 2.0
 
 REDUCE_MAX_ITER = 10_000
+
+CUT_BITS = 62  # eval_jm drops the terms of j_m's series below 2^-CUT_BITS of its q^-m term
 
 
 def _horner(coeffs, q: complex, lead: int) -> complex:
@@ -144,14 +147,30 @@ def _reduce(tau: complex) -> tuple[int, int, int, int]:
     raise RuntimeError("fundamental-domain reduction did not terminate")
 
 
+@lru_cache(maxsize=None)
+def _cut_table(m: int) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+    """(-h[K], coeffs[:K + 1]) for each K, with coeffs = _jm_floats(m, N_DEFAULT) from q^-m.
+
+    h[K] = max over k > K of (ln|coeffs[k]| + CUT_BITS ln 2) / (2 pi k): from Im tau0 = h[K] on,
+    the at most 58 terms past coeffs[K] are each below 2^-CUT_BITS |q|^-m, so together under
+    2^-56 |q|^-m, below Horner's own rounding.  -h ascends, for bisect.
+    """
+    coeffs = _jm_floats(m, N_DEFAULT)
+    levels = [(math.log(abs(c)) + CUT_BITS * math.log(2)) / (2 * math.pi * k) if c else -math.inf
+              for k, c in enumerate(coeffs[1:], 1)]  # levels[k - 1] belongs to coeffs[k]
+    neg_h = tuple(-max(levels[K:], default=-math.inf) for K in range(len(coeffs)))
+    return neg_h, tuple(coeffs[: K + 1] for K in range(len(coeffs)))
+
+
 def eval_jm(m: int, tau: complex) -> complex:
-    """Evaluate j_m on the upper half-plane via fundamental-domain reduction."""
+    """Evaluate j_m on the upper half-plane via fundamental-domain reduction, cut by _cut_table."""
     if m == 0:
         return 1.0 + 0.0j
     a, b, c, d = _reduce(tau)
     tau0 = (a * tau + b) / (c * tau + d)  # UnimodularMatrix.moebius
     q = cmath.exp(2j * math.pi * tau0)
-    return _horner(_jm_floats(m, N_DEFAULT), q, -m)
+    neg_h, prefixes = _cut_table(m)
+    return _horner(prefixes[bisect_left(neg_h, -tau0.imag)], q, -m)
 
 
 @lru_cache(maxsize=1024)

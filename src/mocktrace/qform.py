@@ -55,7 +55,7 @@ class QuadForm:
         geodesic of the form terminates.
         """
         d = self.disc
-        e = math.isqrt(d)
+        e = math.isqrt(max(d, 0))
         if d <= 0 or e * e != d:
             raise ValueError(f"form {self} does not have positive square discriminant")
         if self.a == 0:

@@ -108,6 +108,16 @@ class TestTraceCommand:
         assert dispatch(["trace", "--d", "0", "--D", "1", "--m", "1"]) == EXIT_DOMAIN
         assert "error" in capsys.readouterr().err
 
+    def test_cm_overflow_is_a_domain_error(self, capsys):
+        # refused in the user's terms, not "0.0 to a negative or complex power"
+        assert dispatch(["trace", "--d", "-60000", "--D", "1", "--m", "1"]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: trace_negative(d=-60000, D=1, m=1): j_m overflows a double at the CM points, "
+            "pi m sqrt|dD| = 769.53 > ln(DBL_MAX) = 709.78\n"
+        )
+
 
 class TestQformsCommand:
     def test_disc_four_lists_two_forms(self, capsys):
@@ -332,6 +342,23 @@ class TestImportBoundary:
             "assert 'scipy.integrate' not in sys.modules, 'imported'\n"
             "assert cli.dispatch(['verify', 'prop1', '--m', '1', '--bound', '60']) == 0\n"
             "assert 'scipy.integrate' not in sys.modules, 'dispatched'\n"
+        )
+        rc, _, err = _fresh_python(["-c", code])
+        assert rc == 0, err
+
+    def test_commands_without_special_functions_load_no_scipy(self):
+        # arith imports scipy.special inside the three functions that use it,
+        # so a CM trace, the coefficient list, the class list and the value
+        # checks run without any part of scipy
+        code = (
+            "import contextlib, io, sys\n"
+            "from mocktrace import cli\n"
+            "for argv in (['trace', '--d', '-7', '--D', '1', '--m', '1'],\n"
+            "             ['jm', 'coeffs', '--m', '1', '--n', '8'],\n"
+            "             ['qforms', 'list', '--disc', '5'], ['verify', 'values']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.dispatch(argv) == 0, argv\n"
+            "    assert not [k for k in sys.modules if k.split('.')[0] == 'scipy'], argv\n"
         )
         rc, _, err = _fresh_python(["-c", code])
         assert rc == 0, err

@@ -151,6 +151,19 @@ class TestTraceNegative:
         res = trace_negative(-7, 1, 3)
         assert res.value == pytest.approx(-67515202851.0, abs=res.err_estimate)
 
+    @pytest.mark.parametrize(
+        "m,last,first", [(1, -51044, -51047), (2, -12760, -12763), (3, -5671, -5672), (10, -508, -511)]
+    )
+    def test_overflow_refused_up_front(self, m, last, first, monkeypatch):
+        # j_m at the principal CM point is about e^{pi m sqrt|dD|}: the last d
+        # below ln(DBL_MAX) still sums to a finite value, and the next d that
+        # is 0 or 1 mod 4 is refused before its classes are listed
+        res = trace_negative(last, 1, m)
+        assert math.isfinite(res.value) and abs(res.value) > 1e300
+        monkeypatch.setattr(geodesic, "classes_negative", None)
+        with pytest.raises(ValueError, match=rf"d={first}, D=1, m={m}\).*ln\(DBL_MAX\) = 709\.78"):
+            trace_negative(first, 1, m)
+
 
 class TestTraceNonsquare:
     def test_frozen_values(self):

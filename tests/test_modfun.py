@@ -10,11 +10,13 @@ import pytest
 
 from mocktrace.arith import sigma_real
 from mocktrace.modfun import (
+    CUT_BITS,
     M_MAX,
     N_DEFAULT,
     N_MAX,
     V_STAR,
     _cusp_term,
+    _cut_table,
     _eta24_over_q,
     _j_int_coeffs,
     _jm_int_coeffs,
@@ -177,11 +179,26 @@ class TestEvalJm:
         assert worst < 1e-9
 
 
-def _eval_jm_public(m, tau):
-    """eval_jm rebuilt from the reduction matrix and the coefficient list, Horner from the top."""
-    q = cmath.exp(2j * math.pi * UnimodularMatrix(*_reduce(tau)).moebius(tau))
+def _term_level(c, k):
+    """The least Im tau0 at which |c q^k| <= 2^-CUT_BITS, for c != 0 and k >= 1."""
+    return (math.log(abs(c)) + CUT_BITS * math.log(2)) / (2 * math.pi * k)
+
+
+def _eval_jm_public(m, tau, cut=True):
+    """eval_jm rebuilt from the reduction matrix and the coefficient list, Horner from the top.
+
+    With cut, the sum stops at the last coefficient whose term can still reach
+    2^-CUT_BITS of the leading one at this height (c_0 = 1 when none can).
+    """
+    tau0 = UnimodularMatrix(*_reduce(tau)).moebius(tau)
+    coeffs = jm_coeffs(m, N_DEFAULT)
+    if cut:
+        K = max((k for k, c in enumerate(coeffs) if k and c and _term_level(c, k) > tau0.imag),
+                default=0)
+        coeffs = coeffs[: K + 1]
+    q = cmath.exp(2j * math.pi * tau0)
     total = 0.0 + 0.0j
-    for c in reversed(jm_coeffs(m, N_DEFAULT)):
+    for c in reversed(coeffs):
         total = total * q + c
     return total * q**-m
 
@@ -210,9 +227,10 @@ def _eval_jmQ_public(m, Q, tau):
 
 
 class TestAgainstPublicRoute:
-    # the evaluators read cached coefficient tuples and integer matrices;
-    # the floating-point operations are the public route's, so results are
-    # bit-equal.  The parameter seeds the sampled points.
+    # the evaluators read cached coefficient tuples, a cached cut table and
+    # integer matrices; the floating-point operations, and where the series
+    # is cut, are the public route's, so results are bit-equal.  The
+    # parameter seeds the sampled points.
     @pytest.mark.parametrize("seed", [8, 48, 64])
     def test_eval_jm(self, seed):
         rng = random.Random(seed)
@@ -241,6 +259,56 @@ class TestAgainstPublicRoute:
                     grouped += vmax > V_STAR
                     direct += vmax <= V_STAR
         assert grouped > 20 and direct > 20
+
+
+class TestSeriesCut:
+    # eval_jm sums j_m's q-series only down to 2^-CUT_BITS of its q^-m term
+    @staticmethod
+    def _points():
+        """Reduced points on the bottom arc, rho and i among them, and at four heights."""
+        arc = [cmath.exp(1j * math.pi * t) for t in (1 / 3, 0.4, 0.5, 0.6, 2 / 3)]
+        rows = [complex(x, 0.9) for x in (-0.5, -0.45, 0.44, 0.5)]
+        rows += [complex(x, y) for y in (1.2, 2.0, 4.0) for x in (-0.5, -0.2, 0.0, 0.3, 0.5)]
+        return arc + rows
+
+    def test_every_dropped_term_is_below_the_floor(self):
+        for m in range(1, M_MAX + 1):
+            neg_h, prefixes = _cut_table(m)
+            coeffs = jm_coeffs(m, N_DEFAULT)
+            assert [list(p) for p in prefixes] == [coeffs[: K + 1] for K in range(len(coeffs))]
+            assert list(neg_h) == sorted(neg_h) and neg_h[-1] == math.inf
+            for K in range(len(coeffs) - 1):
+                y = -neg_h[K]
+                rel = [abs(c) * math.exp(-2 * math.pi * y * k) for k, c in enumerate(coeffs) if k > K]
+                # below the floor, and tight: the largest dropped term sits on it
+                assert max(rel) <= 2.0**-CUT_BITS * (1 + 1e-12), (m, K)
+                assert max(rel) >= 2.0**-CUT_BITS * (1 - 1e-12), (m, K)
+
+    def test_cut_within_rounding_of_full_series(self):
+        for m in range(1, M_MAX + 1):
+            for tau in self._points():
+                tau0 = UnimodularMatrix(*_reduce(tau)).moebius(tau)
+                floor = math.exp(2 * math.pi * m * tau0.imag)  # |q|^-m
+                cut, full = eval_jm(m, tau), _eval_jm_public(m, tau, cut=False)
+                assert abs(cut - full) <= 2.0**-52 * floor, (m, tau)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_both_within_rounding_of_long_exact_series(self, m):
+        # the 40-digit sum runs through q^120 at the same float q, so it
+        # measures the summation alone.  Its rounding scales with the sum of
+        # |c_k q^(k - m)|, not with |q|^-m: near rho the terms cancel to j_3(rho)
+        # = -36866976 from a sum of |terms| 232 |q|^-3, and the 48-term Horner
+        # is 24.6 * 2^-52 |q|^-3 off there (0.11 * 2^-52 of the |terms|)
+        exact = _jm_int_coeffs(m, 120)
+        with mpmath.workdps(40):
+            for tau in self._points():
+                tau0 = UnimodularMatrix(*_reduce(tau)).moebius(tau)
+                q = cmath.exp(2j * math.pi * tau0)
+                qm = mpmath.mpc(q.real, q.imag)
+                ref = complex(sum(c * qm ** (k - m) for k, c in enumerate(exact)))
+                scale = sum(abs(c) * abs(q) ** (k - m) for k, c in enumerate(exact))
+                for got in (eval_jm(m, tau), _eval_jm_public(m, tau, cut=False)):
+                    assert abs(got - ref) <= 2.0**-50 * scale, (m, tau)
 
 
 class TestCuspMatrix:

@@ -138,6 +138,14 @@ class TestSquareForms:
                 assert Q.a * p * p + Q.b * p * q + Q.c * q * q == 0
                 assert math.gcd(abs(p), abs(q)) == 1
 
+    @pytest.mark.parametrize("Q", [QuadForm(1, 1, 1), QuadForm(1, 1, -1), QuadForm(0, 0, 1)])
+    def test_roots_and_reduce_square_reject_other_discriminants(self, Q):
+        # negative (-3), positive nonsquare (5) and zero: the same message from
+        # both, with the sign checked before any square root is taken
+        for call in (Q.roots, lambda: reduce_square(Q)):
+            with pytest.raises(ValueError, match="does not have positive square discriminant"):
+                call()
+
     @pytest.mark.parametrize(
         "forms",
         [

@@ -14,6 +14,9 @@ stdout and stderr captured per invocation:
 - `verify prop1` on the shapes of its `prop1_box` pool;
 - `qforms list --disc n` for -200 <= n <= 200;
 - `jm coeffs` at (m, N) = (0, 1) and (10, 64);
+- `trace --D 1` at the last d whose CM values fit in a double and the first
+  refused one, for m = 1 (d = -51044, -51047) and m = 10 (d = -508, -511),
+  and `trace --d 5 --D 1 --m 4`, whose series keeps most terms near the arc;
 - `table --D 1 --m 1` over d in [-20, 30] and [25, 45], and
   `table --D 5 --m 1` over d in [-12, 12];
 - `verify values`, `verify symmetry`, `verify kloosterman` and
@@ -82,6 +85,9 @@ def invocations() -> list[list[str]]:
                      + ([] if bound == "default" else ["--bound", bound]))
     calls += [["qforms", "list", "--disc", str(n)] for n in range(-200, 201)]
     calls += [["jm", "coeffs", "--m", m, "--n", n] for m, n in (("0", "1"), ("10", "64"))]
+    calls += [["trace", "--d", d, "--D", "1", "--m", m]
+              for d, m in (("-51044", "1"), ("-51047", "1"), ("-508", "10"), ("-511", "10"),
+                           ("5", "4"))]
     calls += [["table", "--D", D, "--m", "1", "--d-min", lo, "--d-max", hi]
               for D, lo, hi in (("1", "-20", "30"), ("1", "25", "45"), ("5", "-12", "12"))]
     calls += [["verify", check] for check in ("values", "symmetry", "kloosterman")]
