@@ -1,12 +1,13 @@
 """Integer and real-analytic primitives shared by the rest of the package.
 
-Kronecker symbol, the theta-multiplier unit eps_a, divisor sums, fundamental
-solutions of t^2 - d u^2 = 4, the vectorized modular inverse, and the real
-special functions (Gamma, zeta, Dirichlet L, Bessel J and I of real order)
-that the series and Poincare modules consume.  zeta, L and Bessel J come
-from scipy.special (imported on first use), zeta and L behind the package's
-own domain checks; the vectorized I_nu of the coset sum, and J_nu at small
-arguments, keep an ascending series, which is faster there than scipy's.
+Kronecker symbol, the theta-multiplier unit eps_a, trial-division factoring
+and divisor sums, fundamental solutions of t^2 - d u^2 = 4, the vectorized
+modular inverse, and the real special functions (Gamma, zeta, Dirichlet L,
+Bessel J and I of real order) that the series and Poincare modules consume.
+zeta, L and Bessel J come from scipy.special (imported on first use), zeta
+and L behind the package's own domain checks; the vectorized I_nu of the
+coset sum, and J_nu at small arguments, keep an ascending series, which is
+faster there than scipy's.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "PellSolution",
+    "factor",
     "kronecker",
     "eps",
     "pell_fundamental",
@@ -141,19 +143,28 @@ def inverse_mod(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return t0 % q
 
 
+def factor(n: int) -> list[tuple[int, int]]:
+    """Prime factorization [(p, k), ...], p ascending, of any n >= 1 by trial division."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    out, p = [], 2
+    while p * p <= n:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            out.append((p, k))
+        p += 1 if p == 2 else 2
+    return out + [(n, 1)] if n > 1 else out
+
+
 def divisors(m: int) -> list[int]:
-    """Sorted positive divisors of m >= 1."""
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    small, large = [], []
-    k = 1
-    while k * k <= m:
-        if m % k == 0:
-            small.append(k)
-            if k * k != m:
-                large.append(m // k)
-        k += 1
-    return small + large[::-1]
+    """Sorted positive divisors of m >= 1; factor rejects any other m."""
+    out = [1]
+    for p, k in factor(m):
+        out = [n * p**e for n in out for e in range(k + 1)]
+    return sorted(out)
 
 
 def sigma_real(m: int, w: float) -> float:
@@ -182,23 +193,8 @@ def is_fundamental_discriminant(D: int) -> bool:
         return True
     if D == 0 or D % 4 not in (0, 1):
         return False
-    if D % 4 == 1:
-        return _is_squarefree(abs(D))
-    m = D // 4
-    return m % 4 in (2, 3) and _is_squarefree(abs(m))
-
-
-def _is_squarefree(n: int) -> bool:
-    if n == 0:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        if n % p == 0:
-            n //= p
-        p += 1
-    return True
+    m = D if D % 4 == 1 else D // 4
+    return (D % 4 == 1 or m % 4 in (2, 3)) and all(k == 1 for _, k in factor(abs(m)))
 
 
 def dirichlet_L(D: int, s: float) -> float:

@@ -250,8 +250,10 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="mocktrace", description="Traces of modular functions over quadratic forms")
     sub = p.add_subparsers(dest="command", required=True)
 
+    m_index = _number(int, 0, modfun.M_MAX)  # each trace regime keeps its own floor on m
     t = sub.add_parser("trace", help="one twisted trace")
-    _ints(t, "d", "D", "m")
+    _ints(t, "d", "D")
+    t.add_argument("--m", type=m_index, required=True)
     t.add_argument("--route", choices=["vertical", "semicircle"], default="vertical")
     t.set_defaults(func=_cmd_trace)
 
@@ -301,7 +303,9 @@ def _build_parser() -> _Parser:
     vv.set_defaults(func=_cmd_verify_values)
 
     tb = sub.add_parser("table", help="CSV of traces over a d-range")
-    _ints(tb, "D", "m", "d-min", "d-max")
+    _ints(tb, "D")
+    tb.add_argument("--m", type=m_index, required=True)
+    _ints(tb, "d-min", "d-max")
     tb.set_defaults(func=_cmd_table)
 
     return p

@@ -206,13 +206,8 @@ def eval_jmQ(m: int, Q: QuadForm, tau: complex) -> complex:
     if vmax > V_STAR:
         i_big = max(range(len(ws)), key=lambda i: ws[i].imag)
         w = ws[i_big]
-        coeffs = _jm_floats(m, N_DEFAULT)  # coeffs[n + m] = c_m(n)
-        total = cmath.exp(-2j * math.pi * m * w.conjugate())
-        qw = cmath.exp(2j * math.pi * w)
-        qn = 1.0 + 0.0j
-        for n in range(1, N_DEFAULT + 1):
-            qn *= qw
-            total += coeffs[n + m] * qn
+        q_series = _horner(_jm_floats(m, N_DEFAULT)[m + 1 :], cmath.exp(2j * math.pi * w), 1)
+        total = cmath.exp(-2j * math.pi * m * w.conjugate()) + q_series
         for i, wi in enumerate(ws):
             if i != i_big:
                 total -= _cusp_term(m, wi)

@@ -14,9 +14,10 @@ sieve, and by CRT R(c) is a sign times the product, over the prime powers
 q || 4c, of local sums over the square roots of dD mod q.  chi_D is the
 product of the Kronecker characters of the prime discriminants of D, and
 each of those splits into the sign on c and a weight on the local roots at
-its own prime.  Each call builds its table of local roots in numpy, for
-the prime powers its moduli can have (Tonelli-Shanks and Hensel on arrays
-of primes).  All moduli 4c must lie inside the sieve: c_max <= C_MAX_LIMIT.
+its own prime.  Each call builds its table of local roots for the prime
+powers its moduli can have: Tonelli-Shanks and Hensel on arrays for odd
+p not dividing dD, a scan mod p and a lift per power for the rest.  All
+moduli 4c must lie inside the sieve: c_max <= C_MAX_LIMIT.
 
 On top of K+ sit the series b(d, D, s), the extrapolated coefficients
 a(d, D), the spectral sides of the trace identity, and the divisor-sum
@@ -38,6 +39,7 @@ from .arith import (
     dirichlet_L,
     divisors,
     eps,
+    factor,
     gamma_real,
     inverse_mod,
     is_fundamental_discriminant,
@@ -84,7 +86,7 @@ class SeriesValue:
 
 
 # ----------------------------------------------------------------------
-# square roots modulo prime powers: Tonelli-Shanks and Hensel on arrays
+# square roots modulo prime powers
 # ----------------------------------------------------------------------
 
 _spf = None
@@ -165,42 +167,16 @@ def _odd_roots(a: int, p: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.where(ok, x, -1)
 
 
-def _sqrt_mod_2_power(a: int, k: int) -> list[int]:
-    """All solutions of x^2 = a mod 2^k for odd a."""
-    q = 1 << k
-    if k == 1:
-        return [1]
-    if a % min(q, 8) != 1:
-        return []
-    r = 1
-    for j in range(3, k):
-        if (r * r - a) % (1 << (j + 1)):
-            r += 1 << (j - 1)
-    return sorted({r % q, (q - r) % q, (r + q // 2) % q, (q - r + q // 2) % q})
-
-
 def _sqrt_mod_prime_power(a: int, p: int, k: int) -> list[int]:
-    """All solutions of x^2 = a mod p^k, sorted."""
-    q = p**k
-    a %= q
-    if a == 0:
-        step = p ** ((k + 1) // 2)
-        return list(range(0, q, step))
-    e = 0
-    while a % p == 0:
-        a //= p
-        e += 1
-    if e % 2 == 1:
-        return []
-    # x = p^{e/2} y with y^2 = a / p^e mod p^{k-e}
-    h = e // 2
-    if p == 2:
-        prim = _sqrt_mod_2_power(a, k - e)
-    else:
-        r = int(_odd_roots(a, np.array([p]), np.array([k - e]))[0])
-        prim = [] if r < 0 else [r, p ** (k - e) - r]
-    period = p ** (k - e + h)  # p^{e/2} y repeats mod p^{k - e/2}
-    return sorted({(p**h * y + j * period) % q for y in prim for j in range(p**h)})
+    """All solutions of x^2 = a mod p^k, sorted: a scan mod p, O(p), then a lift per power.
+
+    Each root mod p^(i+1) reduces to a root r mod p^i, so the candidates r + j p^i
+    whose square is a mod p^(i+1) are all of them."""
+    roots = [y for y in range(p) if (y * y - a) % p == 0]
+    for i in range(1, k):
+        step, q = p**i, p ** (i + 1)
+        roots = [y for r in roots for j in range(p) if ((y := r + j * step) ** 2 - a) % q == 0]
+    return sorted(roots)
 
 
 # ----------------------------------------------------------------------
@@ -225,15 +201,11 @@ def _kp_direct(d: int, D: int, c: int) -> float:
 
 
 def _fund_square_split(d: int) -> tuple[int, int]:
-    """d = d0 f^2 with d0 a (possibly trivial) fundamental discriminant."""
-    f = 1
-    k = 2
-    while k * k <= d:
-        while d % (k * k) == 0 and (d // (k * k)) % 4 in (0, 1):
-            d //= k * k
-            f *= k
-        k += 1
-    return d, f
+    """d = d0 f^2 > 0 with d0 a (possibly trivial) fundamental discriminant."""
+    s = f = 1
+    for p, k in factor(d):
+        s, f = s * p ** (k % 2), f * p ** (k // 2)
+    return (s, f) if s % 4 == 1 else (4 * s, f // 2)
 
 
 def _beta_coeff(d0: int, n: int) -> int:
@@ -375,19 +347,10 @@ def _prime_discriminants(D: int) -> list[int]:
     """The prime discriminants whose product is the fundamental discriminant D.
 
     They are p* = +-p = 1 mod 4 for each odd p | D and, for even D, its
-    2-part -4, 8 or -8; D = 1 has none.  D is factored by trial division,
-    so it is not bounded by the sieve.
+    2-part -4, 8 or -8; D = 1 has none.  D is factored by arith.factor, so
+    it is not bounded by the sieve.
     """
-    n = abs(D)
-    n >>= (n & -n).bit_length() - 1  # the odd part
-    out, p = [], 3
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p if p % 4 == 1 else -p)
-            n //= p
-        p += 2
-    if n > 1:
-        out.append(n if n % 4 == 1 else -n)
+    out = [p if p % 4 == 1 else -p for p, _ in factor(abs(D)) if p > 2]
     two = D // math.prod(out)
     return out + [two] if two != 1 else out
 

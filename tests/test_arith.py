@@ -17,6 +17,7 @@ from mocktrace.arith import (
     dirichlet_L,
     divisors,
     eps,
+    factor,
     gamma_real,
     inverse_mod,
     is_fundamental_discriminant,
@@ -25,7 +26,16 @@ from mocktrace.arith import (
     sigma_real,
     zeta_real,
 )
-from mocktrace.series import _prime_discriminants
+from mocktrace.series import _fund_square_split, _prime_discriminants
+
+
+def _is_fundamental_by_definition(D: int) -> bool:
+    """D = 1, or a discriminant D = 0, 1 mod 4 such that no D / f^2 with f > 1 is
+    again a discriminant."""
+    if D == 0 or D % 4 not in (0, 1):
+        return False
+    return not any(D % (f * f) == 0 and (D // (f * f)) % 4 in (0, 1)
+                   for f in range(2, math.isqrt(abs(D)) + 1))
 
 
 class TestKronecker:
@@ -104,11 +114,34 @@ class TestPell:
             pell_fundamental(9)
 
 
+class TestFactor:
+    def test_matches_sympy_to_1e4(self):
+        for n in range(1, 10_001):
+            assert factor(n) == sorted(sympy.factorint(n).items()), n
+
+    @pytest.mark.parametrize("n", [1, 2**20, 999_983, 999_983**2])
+    def test_edge_cases(self, n):
+        # the empty product, a prime power, the largest prime below 1e6 and its
+        # square, whose trial division runs up to that prime
+        assert factor(n) == sorted(sympy.factorint(n).items())
+
+    @pytest.mark.parametrize("n", [0, -6])
+    def test_nonpositive_rejected(self, n):
+        with pytest.raises(ValueError):
+            factor(n)
+        with pytest.raises(ValueError):
+            divisors(n)
+
+
 class TestDivisorsSigma:
     def test_divisors(self):
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
         assert divisors(1) == [1]
         assert divisors(13) == [1, 13]
+
+    def test_divisors_match_sympy_to_2000(self):
+        for n in range(1, 2001):
+            assert divisors(n) == sympy.divisors(n), n
 
     def test_sigma_real_matches_direct_sum(self):
         for n in range(1, 40):
@@ -413,3 +446,25 @@ class TestFundamentalDiscriminant:
         assert is_fundamental_discriminant(-4)
         assert not is_fundamental_discriminant(-9)
         assert not is_fundamental_discriminant(-12)
+
+    def test_matches_definition_to_20000(self):
+        for D in range(-20_000, 20_001):
+            assert is_fundamental_discriminant(D) == _is_fundamental_by_definition(D), D
+
+    def test_fund_square_split_to_20000(self):
+        # d = d0 f^2 with d0 = 1 or fundamental, for every positive discriminant d
+        for d in range(1, 20_001):
+            if d % 4 in (0, 1):
+                d0, f = _fund_square_split(d)
+                assert f >= 1 and d0 * f * f == d, d
+                assert d0 == 1 or _is_fundamental_by_definition(d0), d
+
+    def test_prime_discriminants_to_5000(self):
+        # the factors multiply to D, and each is -4, 8, -8 or an odd prime p* = +-p = 1 mod 4
+        for D in range(-5000, 5001):
+            if not _is_fundamental_by_definition(D):
+                continue
+            parts = _prime_discriminants(D)
+            assert math.prod(parts) == D, D
+            for ps in parts:
+                assert ps in (-4, 8, -8) or (ps % 4 == 1 and sympy.isprime(abs(ps))), (D, ps)

@@ -282,6 +282,33 @@ class TestCmaxFloor:
         assert f"argument --cmax: must be at least {floor}, got {argv[-1]}" in captured.err
 
 
+class TestMRange:
+    # --m of trace and table is j_m's index, refused past M_MAX at parse time;
+    # the lower bound stays each regime's own
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--d", "5", "--D", "1", "--m", "11"],
+            ["table", "--D", "1", "--m", "11", "--d-min", "-5", "--d-max", "5"],
+        ],
+    )
+    def test_m_past_the_ceiling_is_a_usage_error(self, argv, capsys):
+        assert dispatch(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+        assert errors == [f"error: argument --m: must be at most {modfun.M_MAX}, got 11"]
+
+    def test_table_m_zero_keeps_the_regime_floors(self, capsys):
+        # j_0 = 1 has closed-cycle traces, while the CM regime needs m >= 1
+        args = ["table", "--D", "1", "--m", "0", "--d-min", "-4", "--d-max", "5"]
+        assert dispatch(args) == EXIT_DOMAIN
+        header, *body = csv.reader(io.StringIO(capsys.readouterr().out))
+        methods = {int(r[0]): r[4] for r in body}
+        assert methods[-4] == methods[-3] == "failed"
+        assert methods[5] == "closed_cycle"
+
+
 class TestVerifyFlags:
     # --tol and --bound must be positive: a zero tolerance is not the
     # default, and a zero bound has no coset box

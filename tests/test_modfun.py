@@ -214,12 +214,12 @@ def _eval_jmQ_public(m, Q, tau):
     i_big = max(range(len(ws)), key=lambda i: ws[i].imag)
     w = ws[i_big]
     coeffs = jm_coeffs(m, N_DEFAULT)  # coeffs[n + m] = c_m(n)
-    total = cmath.exp(-2j * math.pi * m * w.conjugate())
+    # c_m(1) .. c_m(48) by Horner from the top, then times e(w) once
     qw = cmath.exp(2j * math.pi * w)
-    qn = 1.0 + 0.0j
-    for n in range(1, N_DEFAULT + 1):
-        qn *= qw
-        total += coeffs[n + m] * qn
+    tail = 0.0 + 0.0j
+    for c in reversed(coeffs[m + 1 :]):
+        tail = tail * qw + c
+    total = cmath.exp(-2j * math.pi * m * w.conjugate()) + tail * qw
     for i, wi in enumerate(ws):
         if i != i_big:
             total -= _cusp_term(m, wi)

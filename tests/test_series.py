@@ -44,7 +44,9 @@ def brute_root_sum(d: int, D: int, c: int, m: int = 1) -> float:
 class TestSqrtsMod:
     """The local square roots behind the root table, modulo prime powers."""
 
-    @pytest.mark.parametrize("p, k_max", [(2, 11), (3, 7), (5, 5), (7, 4), (97, 2)])
+    @pytest.mark.parametrize(
+        "p, k_max", [(2, 11), (3, 7), (5, 5), (7, 4), (11, 3), (13, 3), (97, 2)]
+    )
     def test_matches_brute_force(self, p, k_max):
         # every residue a, so a = 0 mod p^e for odd and even e included
         for k in range(1, k_max + 1):

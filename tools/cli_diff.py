@@ -10,7 +10,9 @@ stdout and stderr captured per invocation:
 
 - every operation of bench/workloads.py's `trace_table` pool (`trace` and
   `jm coeffs`), and `trace --route semicircle` on its square operations;
-- `coeff --d d --D 1` for the d of its `coeff_verify` pool;
+- `coeff --d d --D 1` for the d of its `coeff_verify` pool, and `coeff` at
+  (d, D) = (1, 8), (1, 12) and (8, 5), whose root tables lift the roots
+  mod 2^k of an even dD and the roots mod 5^k;
 - `verify prop1` on the shapes of its `prop1_box` pool;
 - `qforms list --disc n` for -200 <= n <= 200;
 - `jm coeffs` at (m, N) = (0, 1) and (10, 64);
@@ -23,7 +25,8 @@ stdout and stderr captured per invocation:
   `verify thm2 --d 1 --D 1 --m 1`;
 - usage errors: every `--cmax` at 0, -3, 250000 and `lots`,
   `verify prop1 --bound` at 0, 3000 and `x`, and `--tol` at 0, -1, nan and
-  inf on `verify prop1` and `verify thm2`.
+  inf on `verify prop1` and `verify thm2`, and `--m 11` on `trace` and on
+  `table --D 1 --d-min -5 --d-max 5`.
 
 Every difference in stdout bytes, in exit code or in an exception that
 escaped dispatch is printed, and the script exits 1 if there is any.
@@ -79,6 +82,7 @@ def invocations() -> list[list[str]]:
             calls.append(["jm", "coeffs", "--m", a[0], "--n", a[1]])
     calls += semicircle
     calls += [["coeff", "--d", op.split()[1], "--D", "1"] for op in coeff_verify_pool()]
+    calls += [["coeff", "--d", d, "--D", D] for d, D in (("1", "8"), ("1", "12"), ("8", "5"))]
     for op in prop1_box_pool():
         d, D, m, s, bound = op.split()[1:]
         calls.append(["verify", "prop1", "--d", d, "--D", D, "--m", m, "--s", s]
@@ -99,6 +103,8 @@ def invocations() -> list[list[str]]:
     calls += [["verify", "prop1", "--bound", v] for v in ("0", "3000", "x")]
     calls += [command + ["--tol", v] for command in (["verify", "prop1"], thm2)
               for v in ("0", "-1", "nan", "inf")]
+    calls += [["trace", "--d", "5", "--D", "1", "--m", "11"],
+              ["table", "--D", "1", "--m", "11", "--d-min", "-5", "--d-max", "5"]]
     return calls
 
 
