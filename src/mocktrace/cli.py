@@ -2,8 +2,7 @@
 
 Subcommands
 -----------
-trace        one twisted trace Tr_{d,D}(j_m), routed by the sign and
-             squareness of d*D
+trace        one twisted trace Tr_{d,D}(j_m), in the regime of d*D
 coeff        the limit coefficient a(d, D) from the series side
 qforms list  class representatives for one discriminant
 jm coeffs    q-expansion of j_m
@@ -37,19 +36,8 @@ EXIT_USAGE = 64
 
 # ------------------------------------------------------------ subcommands
 
-def _route_trace(d: int, D: int, m: int, route: str):
-    dD = d * D
-    if dD < 0:
-        return geodesic.trace_negative(d, D, m)
-    if dD == 0:
-        raise ValueError("d * D must be nonzero")
-    if math.isqrt(dD) ** 2 == dD:
-        return geodesic.trace_square(d, D, m, route=route)
-    return geodesic.trace_nonsquare(d, D, m)
-
-
 def _cmd_trace(args) -> int:
-    res = _route_trace(args.d, args.D, args.m, args.route)
+    res = geodesic.trace(args.d, args.D, args.m, args.route)
     print(json.dumps(dataclasses.asdict(res), sort_keys=True))
     return EXIT_OK
 
@@ -172,7 +160,7 @@ def _cmd_table(args) -> int:
             writer.writerow([d, args.D, args.m, "", "skipped", "", "{}"])
             continue
         try:
-            res = _route_trace(d, args.D, args.m, "vertical")
+            res = geodesic.trace(d, args.D, args.m)
         except (ValueError, ArithmeticError) as exc:
             # one failed d leaves a row of its own; the rest of the range still runs
             print(f"error: {exc}", file=sys.stderr)
@@ -250,7 +238,7 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="mocktrace", description="Traces of modular functions over quadratic forms")
     sub = p.add_subparsers(dest="command", required=True)
 
-    m_index = _number(int, 0, modfun.M_MAX)  # each trace regime keeps its own floor on m
+    m_index = _number(int, 0, modfun.M_MAX)  # j_m's index; each trace regime keeps its own floor
     t = sub.add_parser("trace", help="one twisted trace")
     _ints(t, "d", "D")
     t.add_argument("--m", type=m_index, required=True)
@@ -272,14 +260,16 @@ def _build_parser() -> _Parser:
     j = sub.add_parser("jm", help="Faber basis utilities")
     js = j.add_subparsers(dest="jcommand", required=True)
     jc = js.add_parser("coeffs", help="print the q-expansion of j_m")
-    _ints(jc, "m", "n")
+    jc.add_argument("--m", type=m_index, required=True)
+    jc.add_argument("--n", type=_number(int, 1, modfun.N_MAX), required=True)
     jc.set_defaults(func=_cmd_jm_coeffs)
 
     v = sub.add_parser("verify", help="cross-checks between pipelines")
     vs = v.add_subparsers(dest="vcommand", required=True)
 
     vp = vs.add_parser("prop1")
-    _ints(vp, "d", "D", "m", d=1, D=1, m=0)
+    _ints(vp, "d", "D", d=1, D=1)
+    vp.add_argument("--m", type=_number(int, 0), default=0)
     vp.add_argument("--s", type=float, default=2.0)
     vp.add_argument("--bound", type=_number(int, ceiling=poincare.BOUND_LIMIT))
     vp.add_argument("--cmax", type=_number(int, series.C_MAX_FLOOR, series.C_MAX_LIMIT), default=10_000)
@@ -287,7 +277,8 @@ def _build_parser() -> _Parser:
     vp.set_defaults(func=_cmd_verify_prop1)
 
     vt = vs.add_parser("thm2")
-    _ints(vt, "d", "D", "m")
+    _ints(vt, "d", "D")
+    vt.add_argument("--m", type=_number(int, 1, modfun.M_MAX), required=True)
     vt.add_argument("--tol", type=_number(float))
     vt.set_defaults(func=_cmd_verify_thm2)
 

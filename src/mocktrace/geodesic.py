@@ -1,17 +1,17 @@
 """The trace integrals attached to quadratic forms.
 
-Three regimes, split by the discriminant of the twisted family: CM point
-sums (negative), closed-geodesic cycle integrals (positive nonsquare), and
-convergent cusp-to-cusp integrals of the corrected functions j_{m,Q}
-(positive square).  A geodesic S_Q with a != 0 is the semicircle
-c0 + r e^{i theta} and is integrated over theta; the a = 0 representative
-of a square discriminant is the line Re tau = 0, integrated over
-t = log Im tau.  All quadrature is adaptive Gauss-Kronrod via scipy.
+`trace` routes Tr_{d,D}(j_m) by the discriminant of the twisted family to one
+of three regimes: CM point sums (negative), closed-geodesic cycle integrals
+(positive nonsquare), and convergent cusp-to-cusp integrals of the corrected
+functions j_{m,Q} (positive square).  Each is one sum over classes of
+chi_D(Q) times a value per class.  A geodesic S_Q with a != 0 is the
+semicircle c0 + r e^{i theta} and is integrated over theta; the a = 0
+representative of a square discriminant is the line Re tau = 0, integrated
+over t = log Im tau.  All quadrature is adaptive Gauss-Kronrod via scipy.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -19,6 +19,7 @@ from typing import Callable
 from .arith import pell_fundamental
 from .modfun import M_MAX, N_DEFAULT, eval_jm, eval_jmQ
 from .qform import (
+    ClassList,
     QuadForm,
     UnimodularMatrix,
     apply,
@@ -32,6 +33,7 @@ from .qform import (
 __all__ = [
     "TraceResult",
     "cycle_integral_closed",
+    "trace",
     "trace_negative",
     "trace_nonsquare",
     "trace_square",
@@ -67,12 +69,10 @@ class TraceResult:
     params: dict = field(default_factory=dict)
 
 
-def _check_m(m: int, lowest: int) -> None:
+def _check_m_twist(m: int, lowest: int, d: int, D: int) -> None:
+    """m in the regime's [lowest, M_MAX], then d and D each 0 or 1 mod 4."""
     if not lowest <= m <= M_MAX:
         raise ValueError(f"m must be in [{lowest}, {M_MAX}], got {m}")
-
-
-def _check_twist(d: int, D: int) -> None:
     for name, v in (("d", d), ("D", D)):
         if v % 4 not in (0, 1):
             raise ValueError(f"{name} = {v} is not congruent to 0 or 1 mod 4")
@@ -138,39 +138,59 @@ def _semicircle_integral(Q: QuadForm, f, th0: float, th1: float):
     return (1 if Q.a > 0 else -1) * total, abserr, g
 
 
+def trace(d: int, D: int, m: int, route: str = "vertical") -> TraceResult:
+    """Tr_{d,D}(j_m) in the regime set by the sign and squareness of dD (route: square dD only)."""
+    dD = d * D
+    if dD < 0:
+        return trace_negative(d, D, m)
+    if dD == 0:
+        raise ValueError("d * D must be nonzero")
+    if math.isqrt(dD) ** 2 == dD:
+        return trace_square(d, D, m, route=route)
+    return trace_nonsquare(d, D, m)
+
+
+def _class_sum(cl: ClassList, D: int, value) -> tuple[complex, float, float]:
+    """sum chi_D(Q)/|Gamma_Q| v_Q, sum |summand| and sum err_Q over Q with chi_D(Q) != 0.
+
+    value(Q) is (v_Q, err_Q); |Gamma_Q| is 1 unless cl has stabilizer orders (CM).
+    """
+    total, scale, err = 0.0 + 0.0j, 0.0, 0.0
+    for Q, order in zip(cl.reps, cl.stab_orders or [1] * len(cl.reps)):
+        ch = chi_D(D, Q)
+        if ch == 0:
+            continue
+        v, e = value(Q)
+        term = ch / order * v
+        total += term
+        scale += abs(term)
+        err += e
+    return total, scale, err
+
+
+def _checked(name, d, D, m, total: complex, residue_tol, method, err, **params) -> TraceResult:
+    """The trace total.real, once the imaginary residue of total is within residue_tol."""
+    if abs(total.imag) > residue_tol:
+        raise ArithmeticError(f"imaginary residue {total.imag} in {name}({d},{D},{m})")
+    return TraceResult(total.real, d, D, m, method, err, params)
+
+
 def trace_negative(d: int, D: int, m: int) -> TraceResult:
     """The CM trace (1/sqrt(D)) sum chi_D(Q)/|Gamma_Q| j_m(tau_Q) over classes."""
     if d >= 0 or D <= 0 or d * D >= 0:
         raise ValueError(f"trace_negative needs d < 0 < D, got d={d}, D={D}")
-    _check_m(m, 1)
-    _check_twist(d, D)
+    _check_m_twist(m, 1, d, D)
     if (log_j := math.pi * m * math.sqrt(-d * D)) > LOG_DBL_MAX:  # ln|j_m| at the principal tau_Q
         raise ValueError(f"trace_negative(d={d}, D={D}, m={m}): j_m overflows a double at the "
                          f"CM points, pi m sqrt|dD| = {log_j:.2f} > ln(DBL_MAX) = {LOG_DBL_MAX:.2f}")
     cl = classes_negative(d * D)
-    total = 0.0 + 0.0j
-    scale = 0.0
-    for Q, order in zip(cl.reps, cl.stab_orders):
-        ch = chi_D(D, Q)
-        if ch == 0:
-            continue
-        tau = complex(-Q.b, math.sqrt(-Q.disc)) / (2 * Q.a)
-        term = ch / order * eval_jm(m, tau)
-        total += term
-        scale += abs(term)
+    total, scale, _ = _class_sum(
+        cl, D, lambda Q: (eval_jm(m, complex(-Q.b, math.sqrt(-Q.disc)) / (2 * Q.a)), 0.0)
+    )
     total /= math.sqrt(D)
     scale /= math.sqrt(D)
-    if abs(total.imag) > CM_IMAG_RESIDUE_REL * max(1.0, scale):
-        raise ArithmeticError(f"imaginary residue {total.imag} in trace_negative({d},{D},{m})")
-    return TraceResult(
-        value=total.real,
-        d=d,
-        D=D,
-        m=m,
-        method="cm_points",
-        err_estimate=1e-9 * max(1.0, abs(total.real)),
-        params={"classes": len(cl.reps)},
-    )
+    return _checked("trace_negative", d, D, m, total, CM_IMAG_RESIDUE_REL * max(1.0, scale),
+                    "cm_points", 1e-9 * max(1.0, abs(total.real)), classes=len(cl.reps))
 
 
 def trace_nonsquare(d: int, D: int, m: int) -> TraceResult:
@@ -180,38 +200,32 @@ def trace_nonsquare(d: int, D: int, m: int) -> TraceResult:
     dD = d * D
     if math.isqrt(dD) ** 2 == dD:
         raise ValueError(f"dD = {dD} is a square; use trace_square")
-    _check_m(m, 0)
-    _check_twist(d, D)
+    _check_m_twist(m, 0, d, D)
     cl = classes_nonsquare(dD)
-    total = 0.0 + 0.0j
-    quad_err = 0.0
-    for Q in cl.reps:
-        ch = chi_D(D, Q)
-        if ch == 0:
-            continue
-        value, abserr = cycle_integral_closed(Q, lambda tau: eval_jm(m, tau))
-        total += ch * value
-        quad_err += abserr
+    total, _, quad_err = _class_sum(
+        cl, D, lambda Q: cycle_integral_closed(Q, lambda tau: eval_jm(m, tau))
+    )
     total /= 2 * math.pi
-    if abs(total.imag) > IMAG_RESIDUE_TOL:
-        raise ArithmeticError(f"imaginary residue {total.imag} in trace_nonsquare({d},{D},{m})")
     eps_d = pell_fundamental(dD).unit
     # quadrature tolerance per class (cycle length as a proxy), plus quad's abserr
     err = len(cl.reps) * (QUAD_TOL * 2 * math.log(eps_d) / math.sqrt(dD) + 1e-9)
     err += quad_err / (2 * math.pi)
-    return TraceResult(
-        value=total.real,
-        d=d,
-        D=D,
-        m=m,
-        method="closed_cycle",
-        err_estimate=err,
-        params={"classes": len(cl.reps)},
-    )
+    return _checked("trace_nonsquare", d, D, m, total, IMAG_RESIDUE_TOL, "closed_cycle", err,
+                    classes=len(cl.reps))
 
 
-def _cusp_integral_semicircle(m: int, Q: QuadForm) -> tuple[complex, float]:
-    """int j_{m,Q} dtau_Q over the semicircle, theta in (eps, pi - eps), and quad's abserr."""
+def _cusp_integral(m: int, Q: QuadForm, route: str) -> tuple[complex, float]:
+    """sqrt(disc) int j_{m,Q} dtau/Q(tau, 1) from cusp to cusp, and quad's abserr."""
+    if Q.a == 0 and route == "vertical":
+        # int j_{m,Q}(iy) dy/y over y = e^t, |t| < T_VERTICAL
+        return _quad_complex(
+            lambda t: eval_jmQ(m, Q, complex(0.0, math.exp(t))), -T_VERTICAL, T_VERTICAL
+        )[:2]
+    if Q.a == 0:
+        # [[1,0],[-1,1]] sends [0,b,0] to [b,b,0], moving the vertical line
+        # onto a genuine semicircle while leaving the trace summand unchanged
+        Q = apply(UnimodularMatrix(1, 0, -1, 1), Q)
+    # the semicircle over theta in (eps, pi - eps)
     th0, th1 = THETA_EPS, math.pi - THETA_EPS
     total, abserr, f = _semicircle_integral(Q, lambda tau: eval_jmQ(m, Q, tau), th0, th1)
     # rectangle-rule estimate for the two clipped endpoint slivers, signed
@@ -233,46 +247,18 @@ def trace_square(d: int, D: int, m: int, route: str = "vertical") -> TraceResult
     b = math.isqrt(dD)
     if b * b != dD:
         raise ValueError(f"dD = {dD} is not a square; use trace_nonsquare")
-    _check_m(m, 1)  # the m = 0 integral diverges
+    _check_m_twist(m, 1, d, D)  # the m = 0 integral diverges
     if route not in ("vertical", "semicircle"):
         raise ValueError(f"unknown route {route!r}")
-    _check_twist(d, D)
     cl = classes_square(dD)
-    total = 0.0 + 0.0j
-    quad_err = 0.0
-    for Q in cl.reps:
-        ch = chi_D(D, Q)
-        if ch == 0:
-            continue
-        if Q.a == 0 and route == "vertical":
-            # int j_{m,Q}(iy) dy/y over y = e^t, |t| < T_VERTICAL; the memoized
-            # integrand is dropped here, not held through the next class
-            contrib, abserr = _quad_complex(
-                lambda t: eval_jmQ(m, Q, complex(0.0, math.exp(t))), -T_VERTICAL, T_VERTICAL
-            )[:2]
-        else:
-            # [[1,0],[-1,1]] sends [0,b,0] to [b,b,0], moving the vertical line
-            # onto a genuine semicircle while leaving the trace summand unchanged.
-            Qs = apply(UnimodularMatrix(1, 0, -1, 1), Q) if Q.a == 0 else Q
-            contrib, abserr = _cusp_integral_semicircle(m, Qs)
-        total += ch * contrib
-        quad_err += abserr
+    total, _, quad_err = _class_sum(cl, D, lambda Q: _cusp_integral(m, Q, route))
     # dtau_Q = sqrt(dD) dtau / Q(tau,1): divide by sqrt(dD) once, here
     total /= 2 * math.pi * b
-    if abs(total.imag) > IMAG_RESIDUE_TOL:
-        raise ArithmeticError(f"imaginary residue {total.imag} in trace_square({d},{D},{m})")
     # endpoint clip + vertical tail + quadrature + quad's abserr, all scaled out of 2 pi b
     err = (
         len(cl.reps)
         * (2 * THETA_EPS * 4 * math.pi * m + 8 * math.pi * m * math.exp(-T_VERTICAL) + QUAD_TOL)
         + quad_err
     ) / (2 * math.pi * b)
-    return TraceResult(
-        value=total.real,
-        d=d,
-        D=D,
-        m=m,
-        method="cusp_cycle",
-        err_estimate=err,
-        params={"classes": len(cl.reps), "route": route, "N": N_DEFAULT},
-    )
+    return _checked("trace_square", d, D, m, total, IMAG_RESIDUE_TOL, "cusp_cycle", err,
+                    classes=len(cl.reps), route=route, N=N_DEFAULT)

@@ -244,7 +244,7 @@ def _T_zero_case(d: int, c: int) -> int:
 
 def _mobius(n: int) -> int:
     out = 1
-    for _, k in factorize(n):
+    for _, k in factor(n):
         if k > 1:
             return 0
         out = -out

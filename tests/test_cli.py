@@ -283,13 +283,15 @@ class TestCmaxFloor:
 
 
 class TestMRange:
-    # --m of trace and table is j_m's index, refused past M_MAX at parse time;
-    # the lower bound stays each regime's own
+    # --m is j_m's index, refused past M_MAX at parse time; the lower bound of
+    # trace and table stays each regime's own
     @pytest.mark.parametrize(
         "argv",
         [
             ["trace", "--d", "5", "--D", "1", "--m", "11"],
             ["table", "--D", "1", "--m", "11", "--d-min", "-5", "--d-max", "5"],
+            ["jm", "coeffs", "--m", "11", "--n", "8"],
+            ["verify", "thm2", "--d", "1", "--D", "1", "--m", "11"],
         ],
     )
     def test_m_past_the_ceiling_is_a_usage_error(self, argv, capsys):
@@ -298,6 +300,23 @@ class TestMRange:
         assert captured.out == ""
         errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
         assert errors == [f"error: argument --m: must be at most {modfun.M_MAX}, got 11"]
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["jm", "coeffs", "--m", "-1", "--n", "8"], "--m: must be at least 0, got -1"),
+            (["jm", "coeffs", "--m", "2", "--n", "0"], "--n: must be at least 1, got 0"),
+            (["jm", "coeffs", "--m", "2", "--n", "65"], f"--n: must be at most {modfun.N_MAX}, got 65"),
+            (["verify", "thm2", "--d", "1", "--D", "1", "--m", "0"], "--m: must be at least 1, got 0"),
+            (["verify", "prop1", "--m", "-1"], "--m: must be at least 0, got -1"),
+        ],
+    )
+    def test_other_indices_out_of_range_are_usage_errors(self, argv, error, capsys):
+        assert dispatch(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+        assert errors == [f"error: argument {error}"]
 
     def test_table_m_zero_keeps_the_regime_floors(self, capsys):
         # j_0 = 1 has closed-cycle traces, while the CM regime needs m >= 1

@@ -130,6 +130,38 @@ class TestMRange:
                 trace(d, 1, m)
 
 
+class TestRouter:
+    """trace picks the regime from the sign and squareness of dD."""
+
+    @pytest.mark.parametrize(
+        "d, D, m, route, name",
+        [
+            (-7, 1, 1, "vertical", "trace_negative"),
+            (5, 1, 1, "vertical", "trace_nonsquare"),
+            (4, 1, 1, "vertical", "trace_square"),
+            (4, 1, 1, "semicircle", "trace_square"),
+        ],
+    )
+    def test_same_result_as_its_regime(self, d, D, m, route, name, monkeypatch):
+        regime = getattr(geodesic, name)
+        kwargs = {"route": route} if name == "trace_square" else {}
+        want = regime(d, D, m, **kwargs)
+        calls = []
+
+        def spy(*args, **kw):
+            calls.append((args, kw))
+            return regime(*args, **kw)
+
+        # the regime is looked up in the module, so a wrapper set there sees the call
+        monkeypatch.setattr(geodesic, name, spy)
+        assert geodesic.trace(d, D, m, route) == want
+        assert calls == [((d, D, m), kwargs)]
+
+    def test_zero_dD_refused(self):
+        with pytest.raises(ValueError, match=r"^d \* D must be nonzero$"):
+            geodesic.trace(0, 1, 1)
+
+
 class TestTraceNegative:
     @pytest.mark.parametrize("d,value", [(-3, -248.0), (-4, 492.0), (-7, -4119.0)])
     def test_classical_cm_traces(self, d, value):

@@ -110,6 +110,28 @@ class TestSpfSieve:
         assert np.array_equal(_spf_sieve()[:n_max], brute)
 
 
+class TestTwists:
+    def test_square_part_past_the_sieve(self):
+        # d = 4 * 810001^2 has f = 2 * 810001, past the prime sieve's bound
+        def mobius(n):
+            out, p = 1, 2
+            while p * p <= n:
+                if n % p == 0:
+                    n //= p
+                    if n % p == 0:
+                        return 0
+                    out = -out
+                p += 1
+            return -out if n > 1 else out
+
+        d = 4 * 810001**2
+        d0, twists = series._twists(d)
+        f = math.isqrt(d // d0)
+        assert d0 * f * f == d and f >= series.SIEVE_MAX
+        want = [(u, w, f // u) for u in divisors(f) if (w := mobius(u) * kronecker(d0, u))]
+        assert twists == want
+
+
 class TestKloostermanPlus:
     # the degenerate pairs with f > 1 in n = n0 f^2 reach the twist sums over u | f
     GRID = [

@@ -24,9 +24,14 @@ stdout and stderr captured per invocation:
 - `verify values`, `verify symmetry`, `verify kloosterman` and
   `verify thm2 --d 1 --D 1 --m 1`;
 - usage errors: every `--cmax` at 0, -3, 250000 and `lots`,
-  `verify prop1 --bound` at 0, 3000 and `x`, and `--tol` at 0, -1, nan and
-  inf on `verify prop1` and `verify thm2`, and `--m 11` on `trace` and on
-  `table --D 1 --d-min -5 --d-max 5`.
+  `verify prop1 --bound` at 0, 3000 and `x`, `--tol` at 0, -1, nan and
+  inf on `verify prop1` and `verify thm2`, `--m 11` on `trace`, on
+  `table --D 1 --d-min -5 --d-max 5`, on `jm coeffs --n 8` and on
+  `verify thm2 --d 1 --D 1`, `jm coeffs --m 2 --n 65` and
+  `verify prop1 --m -1`;
+- `trace --d 0 --D 1 --m 1`, refused by the router, and
+  `coeff --d 2624406480004 --D 1 --cmax 100`, whose square part
+  f = 810001 lies past the prime sieve.
 
 Every difference in stdout bytes, in exit code or in an exception that
 escaped dispatch is printed, and the script exits 1 if there is any.
@@ -104,7 +109,12 @@ def invocations() -> list[list[str]]:
     calls += [command + ["--tol", v] for command in (["verify", "prop1"], thm2)
               for v in ("0", "-1", "nan", "inf")]
     calls += [["trace", "--d", "5", "--D", "1", "--m", "11"],
-              ["table", "--D", "1", "--m", "11", "--d-min", "-5", "--d-max", "5"]]
+              ["table", "--D", "1", "--m", "11", "--d-min", "-5", "--d-max", "5"],
+              ["jm", "coeffs", "--m", "11", "--n", "8"], ["jm", "coeffs", "--m", "2", "--n", "65"],
+              ["verify", "thm2", "--d", "1", "--D", "1", "--m", "11"],
+              ["verify", "prop1", "--m", "-1"],
+              ["trace", "--d", "0", "--D", "1", "--m", "1"],
+              ["coeff", "--d", "2624406480004", "--D", "1", "--cmax", "100"]]
     return calls
 
 
