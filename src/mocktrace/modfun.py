@@ -1,7 +1,8 @@
 """The Faber basis j_m, its q-expansions, and cusp-stable evaluation.
 
 j_0 = 1, j_1 = j - 744, and for m >= 2 the unique modular function
-q^-m + O(q), built by the Faber recursion from exact integer power series.
+q^-m + O(q).  Exact integer expansions: j's from one recurrence on the
+Eisenstein series E4 and E6, j_m's as the Hecke image of j_1.
 Evaluation anywhere on the upper half-plane goes through fundamental-domain
 reduction; the cusp-corrected functions j_{m,Q} (square discriminant Q)
 subtract one sinh-type term per root of Q and are evaluated with the
@@ -15,7 +16,7 @@ import math
 from bisect import bisect_left
 from functools import lru_cache
 
-from .arith import sigma_real
+from .arith import divisors, sigma_real
 from .qform import QuadForm, UnimodularMatrix, cusp_matrix
 
 __all__ = [
@@ -45,73 +46,35 @@ def _horner(coeffs, q: complex, lead: int) -> complex:
     return total * q**lead
 
 
-def _mul_trunc(f: list[int], g: list[int], n: int) -> list[int]:
-    """Product of integer power series (index = exponent), truncated below n."""
-    out = [0] * n
-    for i, fi in enumerate(f[:n]):
-        if fi == 0:
-            continue
-        for j, gj in enumerate(g[: n - i]):
-            out[i + j] += fi * gj
-    return out
-
-
-def _eta24_over_q(n: int) -> list[int]:
-    """Coefficients of Delta/q = prod (1-q^k)^24 as integers, through q^(n-1)."""
-    eta = [0] * n
-    # pentagonal number theorem; past k = isqrt(n) both k(3k -+ 1)/2 exceed n
-    for k in range(math.isqrt(n) + 1):
-        for g in {k * (3 * k - 1) // 2, k * (3 * k + 1) // 2}:
-            if g < n:
-                eta[g] += (-1) ** k
-    e3 = _mul_trunc(_mul_trunc(eta, eta, n), eta, n)  # eta^3
-    e6 = _mul_trunc(e3, e3, n)
-    e12 = _mul_trunc(e6, e6, n)
-    return _mul_trunc(e12, e12, n)
-
-
-def _series_div(f: list[int], g: list[int], n: int) -> list[int]:
-    """Quotient f / g of integer power series of length n with g[0] = 1, in one pass."""
-    assert g[0] == 1
-    out = [0] * n
-    for k in range(n):
-        out[k] = f[k] - sum(g[j] * out[k - j] for j in range(1, k + 1))
-    return out
+# j's coefficient c(k - 1) beside E4's and E6's e4(k) and e6(k), one row per k, grown by whole
+# rows: an interrupted extension leaves a shorter prefix, never misaligned columns
+_j_rows: list[tuple[int, int, int]] = [(1, 1, 1)]
 
 
 def _j_int_coeffs(N: int) -> tuple[int, ...]:
     """Exact integer coefficients c(-1), c(0), ..., c(N) of the j-invariant.
 
-    Computed as E4^3 / Delta; the coefficient list is indexed from q^-1.
+    From q dj/dq = -(E6/E4) j, with e4(i) = 240 sigma_3(i) and e6(i) = -504 sigma_5(i):
+    (n + 1) c(n) = -sum_{i=1}^{n+1} (e4(i) (n - i) + e6(i)) c(n - i), an exact division.
     """
-    n = N + 2
-    e4 = [1] + [240 * sigma_real(k, 3) for k in range(1, n)]
-    num = _mul_trunc(_mul_trunc(e4, e4, n), e4, n)
-    return tuple(_series_div(num, _eta24_over_q(n), n))
+    for k in range(len(_j_rows), N + 2):  # row k holds c(n), n = k - 1
+        e4, e6 = 240 * sigma_real(k, 3), -504 * sigma_real(k, 5)
+        rest = sum((_j_rows[i][1] * (k - 1 - i) + _j_rows[i][2]) * _j_rows[k - i][0]
+                   for i in range(1, k))
+        _j_rows.append((-(e6 - e4 + rest) // k, e4, e6))  # i = k: (e4 (-1) + e6) c(-1)
+    return tuple(row[0] for row in _j_rows[: N + 2])
 
 
-@lru_cache(maxsize=128)
 def _jm_int_coeffs(m: int, N: int) -> tuple[int, ...]:
     """Exact coefficients of j_m from q^-m through q^N (length m + N + 1).
 
-    No range check here: jm_coeffs validates (m, N), and the Faber recursion
-    itself needs j_1 through q^(N + m - 1), past N_MAX.
+    j_m = q^-m + O(q) is the Hecke image of j_1: c_m(n) = sum_{k | gcd(m, n)} (m/k) c(mn/k^2).
+    No range check here: jm_coeffs validates (m, N).
     """
-    if m == 0:
-        return (1,) + (0,) * N
-    if m == 1:
-        out = list(_j_int_coeffs(N))
-        out[1] -= 744
-        return tuple(out)
-    # j_1 * j_{m-1}, index i standing for q^(i - m), truncated at q^N
-    prod = _mul_trunc(_jm_int_coeffs(1, N + m - 1), _jm_int_coeffs(m - 1, N + 1), m + N + 1)
-    # subtract multiples of j_k, k = m-1 ... 0, to kill q^-k ... q^0
-    for k in range(m - 1, -1, -1):
-        coef = prod[m - k]  # coefficient of q^-k
-        for i, b in enumerate(_jm_int_coeffs(k, N)):
-            prod[m - k + i] -= coef * b
-    assert prod[0] == 1 and all(prod[m - k] == 0 for k in range(m - 1, -1, -1))
-    return tuple(prod)
+    c = _j_int_coeffs(m * N)  # c[n + 1] is the q^n coefficient of j
+    tail = (sum(m // k * c[m * n // k**2 + 1] for k in divisors(math.gcd(m, n)))
+            for n in range(1, N + 1))
+    return (1,) + (0,) * m + tuple(tail)
 
 
 @lru_cache(maxsize=None)

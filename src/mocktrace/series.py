@@ -65,6 +65,7 @@ MODULUS_LIMIT = 4 * C_MAX_LIMIT
 C_MAX_FLOOR = 100
 KP_IMAG_TOL = 1e-9
 ROOT_SUM_BLOCK = 4096
+D0_MAX = 10**6  # L_{d0}(w) sums |d0| Hurwitz zeta values: seconds at 10^6
 
 # _bessel_tail_integral sums a series up to z = arg0 / X = 8 and Gauss panels past
 # it.  The series' alternating terms outgrow their sum as z grows: its worst relative
@@ -206,6 +207,12 @@ def _fund_square_split(d: int) -> tuple[int, int]:
     for p, k in factor(d):
         s, f = s * p ** (k % 2), f * p ** (k // 2)
     return (s, f) if s % 4 == 1 else (4 * s, f // 2)
+
+
+def _check_fundamental_part(name: str, d: int) -> None:
+    """Refuse d > 0 whose fundamental part d0 exceeds D0_MAX, before any root-sum or L work."""
+    if (d0 := _fund_square_split(d)[0]) > D0_MAX:
+        raise ValueError(f"{name} = {d} has fundamental part d0 = {d0} > {D0_MAX}, L_d0's limit")
 
 
 def _beta_coeff(d0: int, n: int) -> int:
@@ -604,6 +611,7 @@ def b_series(d: int, D: int, s: float, c_max: int) -> SeriesValue:
         n = d + D
         if n < 0 or n % 4 not in (0, 1):
             raise ValueError(f"degenerate case needs d + D = 0, 1 mod 4 > 0, got {n}")
+        _check_fundamental_part("d" if d else "D", n)
         pref = 2.0 ** (-4 * s) * math.pi ** (s + 0.25) * n ** (s - 0.25)
         value = 4.0 * pref * _dirichlet_T(n, 2 * s - 0.5)
         return SeriesValue(value, c_max, s, 1e-12 * abs(value), {"case": "degenerate"})
@@ -658,6 +666,8 @@ def coeff_a(
     if d <= 0 or D <= 0 or d % 4 not in (0, 1) or D % 4 not in (0, 1):
         raise ValueError(f"coeff_a needs positive d, D = 0, 1 mod 4, got d={d}, D={D}")
     _check_route(f"a({d}, {D})", d, D)
+    _check_fundamental_part("d", d)
+    _check_fundamental_part("D", D)
     grid = _delta_grid(deltas, c_max_by_delta)
     c_max = max(cm for _, cm in grid)
     # R(c) does not depend on s: one array at the largest c_max serves every

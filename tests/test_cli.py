@@ -218,6 +218,15 @@ class TestTableCommand:
         assert first == second
 
 
+class TestCoeffCommand:
+    def test_huge_fundamental_part_is_a_domain_error(self, capsys):
+        assert dispatch(["coeff", "--d", "1000005", "--D", "1", "--cmax", "100"]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: d = 1000005 has fundamental part d0 = 1000005 > 1000000, " \
+                               "L_d0's limit\n"
+
+
 class TestCmaxCeiling:
     @pytest.mark.parametrize(
         "argv",

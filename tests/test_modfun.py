@@ -4,6 +4,7 @@
 import cmath
 import math
 import random
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -17,12 +18,9 @@ from mocktrace.modfun import (
     V_STAR,
     _cusp_term,
     _cut_table,
-    _eta24_over_q,
     _j_int_coeffs,
     _jm_int_coeffs,
-    _mul_trunc,
     _reduce,
-    _series_div,
     eval_jm,
     eval_jmQ,
     jm_coeffs,
@@ -30,13 +28,72 @@ from mocktrace.modfun import (
 from mocktrace.qform import IDENTITY, QuadForm, S, UnimodularMatrix, cusp_matrix, translation
 
 
-def _j_int_coeffs_e6(N: int) -> tuple[int, ...]:
-    """Independent route j = E6^2/Delta + 1728, indexed as _j_int_coeffs; an oracle."""
+# Independent oracles: j from quotients of truncated integer power series and
+# j_m from the Faber recursion, a route that shares no code with modfun's.
+
+
+def _mul_trunc(f: list[int], g: list[int], n: int) -> list[int]:
+    """Product of integer power series (index = exponent), truncated below n."""
+    out = [0] * n
+    for i, fi in enumerate(f[:n]):
+        if fi == 0:
+            continue
+        for j, gj in enumerate(g[: n - i]):
+            out[i + j] += fi * gj
+    return out
+
+
+def _series_div(f: list[int], g: list[int], n: int) -> list[int]:
+    """Quotient f / g of integer power series of length n with g[0] = 1."""
+    out = [0] * n
+    for k in range(n):
+        out[k] = f[k] - sum(g[j] * out[k - j] for j in range(1, k + 1))
+    return out
+
+
+def _delta_over_q(n: int) -> list[int]:
+    """Delta/q = prod (1 - q^k)^24 through q^(n-1), from Euler's pentagonal series."""
+    eta = [0] * n
+    for k in range(math.isqrt(n) + 1):
+        for g in {k * (3 * k - 1) // 2, k * (3 * k + 1) // 2}:
+            if g < n:
+                eta[g] += (-1) ** k
+    e3 = _mul_trunc(_mul_trunc(eta, eta, n), eta, n)
+    e6 = _mul_trunc(e3, e3, n)
+    e12 = _mul_trunc(e6, e6, n)
+    return _mul_trunc(e12, e12, n)
+
+
+@lru_cache(maxsize=None)
+def _j_e4(N: int) -> tuple[int, ...]:
+    """j = E4^3/Delta from q^-1 through q^N, indexed as _j_int_coeffs."""
+    n = N + 2
+    e4 = [1] + [240 * sigma_real(k, 3) for k in range(1, n)]
+    return tuple(_series_div(_mul_trunc(_mul_trunc(e4, e4, n), e4, n), _delta_over_q(n), n))
+
+
+def _j_e6(N: int) -> tuple[int, ...]:
+    """j = E6^2/Delta + 1728, indexed as _j_int_coeffs."""
     n = N + 2
     e6 = [1] + [-504 * sigma_real(k, 5) for k in range(1, n)]
-    out = _series_div(_mul_trunc(e6, e6, n), _eta24_over_q(n), n)
+    out = _series_div(_mul_trunc(e6, e6, n), _delta_over_q(n), n)
     out[1] += 1728
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _faber(m: int, N: int) -> tuple[int, ...]:
+    """j_m from q^-m through q^N: j_1 j_{m-1} less the multiples of j_{m-1}, ..., j_0."""
+    if m == 0:
+        return (1,) + (0,) * N
+    if m == 1:
+        return (1, 0) + _j_e4(N)[2:]
+    prod = _mul_trunc(list(_faber(1, N + m - 1)), list(_faber(m - 1, N + 1)), m + N + 1)
+    for k in range(m - 1, -1, -1):
+        coef = prod[m - k]  # coefficient of q^-k
+        for i, b in enumerate(_faber(k, N)):
+            prod[m - k + i] -= coef * b
+    return tuple(prod)
 
 
 class TestCoefficients:
@@ -85,20 +142,18 @@ class TestCoefficients:
                 assert n * c[m][m + n] == m * c[n][n + m], (m, n)
 
     def test_hecke_relation_whole_table(self):
-        # the Hecke relation c_m(n) = sum_{d | gcd(m, n)} (m/d) c(mn/d^2), with c the
-        # q-expansion of j, in exact integers over the whole advertised table
-        c = _j_int_coeffs(M_MAX * N_MAX)  # c[k + 1] is the q^k coefficient
-        for m in range(1, M_MAX + 1):
-            cm = _jm_int_coeffs(m, N_MAX)
-            for n in range(1, N_MAX + 1):
-                g = math.gcd(m, n)
-                want = sum((m // d) * c[m * n // d**2 + 1] for d in range(1, g + 1) if g % d == 0)
-                assert cm[m + n] == want, (m, n)
+        # modfun builds j_m as the Hecke image of j_1; the Faber recursion builds
+        # it from products j_1 j_{m-1}.  Equal in exact integers over the whole
+        # advertised table, m = 0 included
+        for m in range(M_MAX + 1):
+            assert _jm_int_coeffs(m, N_MAX) == _faber(m, N_MAX), m
 
-    @pytest.mark.parametrize("N", [1, 8, 64])
+    @pytest.mark.parametrize("N", [1, 8, 64, 640])
     def test_e4_and_e6_routes_agree(self, N):
-        # E4^3/Delta = E6^2/Delta + 1728, in exact integers
-        assert _j_int_coeffs(N) == _j_int_coeffs_e6(N)
+        # the recurrence from q dj/dq = -(E6/E4) j against E4^3/Delta and
+        # E6^2/Delta + 1728, in exact integers; 640 = M_MAX N_MAX is the
+        # longest j the Hecke sum reads
+        assert _j_int_coeffs(N) == _j_e4(N) == _j_e6(N)
 
     def test_returned_list_is_a_copy(self):
         tau = complex(0.1, 0.8)

@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import time
 
 import mpmath
 import numpy as np
@@ -409,6 +410,43 @@ class TestCoeffA:
 
         monkeypatch.setattr(series, "_T_zero_case", refuse)
         assert math.isfinite(coeff_a(d, 1, c_max_by_delta=self.SMALL).value)
+
+
+class TestFundamentalPartLimit:
+    """L_{d0} sums |d0| Hurwitz zeta values, so a d0 past D0_MAX is refused before any work."""
+
+    def test_huge_fundamental_part_refused_fast(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("root sums or L-series reached")
+
+        monkeypatch.setattr(series, "_root_sum_array", refuse)
+        monkeypatch.setattr(series, "dirichlet_L", refuse)
+        t = time.perf_counter()
+        # d = 4 * 656111620001: the L-series alone would take days
+        with pytest.raises(ValueError, match=re.escape(
+                "d = 2624446480004 has fundamental part d0 = 656111620001 > 1000000")):
+            coeff_a(2624446480004, 1)
+        assert time.perf_counter() - t < 1.0
+
+    @pytest.mark.parametrize("d, D, name", [(1000005, 1, "d"), (1, 1000005, "D"),
+                                            (1, 9 * 1000005, "D")])
+    def test_names_the_argument(self, d, D, name, monkeypatch):
+        monkeypatch.setattr(series, "dirichlet_L", None)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} = {max(d, D)} has fundamental part d0 = 1000005 > 1000000")):
+            coeff_a(d, D)
+
+    @pytest.mark.parametrize("d, D", [(1000005, 0), (0, 4 * 1000005)])
+    def test_degenerate_b_series_refused(self, d, D, monkeypatch):
+        monkeypatch.setattr(series, "dirichlet_L", None)
+        with pytest.raises(ValueError, match="has fundamental part d0 = 1000005 > 1000000"):
+            b_series(d, D, 1.0, 100)
+
+    def test_limit_is_on_d0_not_d(self):
+        # 999997 = 757 * 1321 is fundamental; a square part or a d0 of 1 passes the limit
+        assert series.D0_MAX == 10**6
+        for d in (999997, 9 * 999997, 4 * 810001**2):
+            series._check_fundamental_part("d", d)
 
 
 class TestModulusCeiling:

@@ -29,9 +29,11 @@ stdout and stderr captured per invocation:
   `table --D 1 --d-min -5 --d-max 5`, on `jm coeffs --n 8` and on
   `verify thm2 --d 1 --D 1`, `jm coeffs --m 2 --n 65` and
   `verify prop1 --m -1`;
-- `trace --d 0 --D 1 --m 1`, refused by the router, and
+- `trace --d 0 --D 1 --m 1`, refused by the router,
   `coeff --d 2624406480004 --D 1 --cmax 100`, whose square part
-  f = 810001 lies past the prime sieve.
+  f = 810001 lies past the prime sieve, and
+  `coeff --d 1000005 --D 1 --cmax 100`, whose fundamental part d0 = 1000005
+  lies past the limit of the L-series sum.
 
 Every difference in stdout bytes, in exit code or in an exception that
 escaped dispatch is printed, and the script exits 1 if there is any.
@@ -114,7 +116,8 @@ def invocations() -> list[list[str]]:
               ["verify", "thm2", "--d", "1", "--D", "1", "--m", "11"],
               ["verify", "prop1", "--m", "-1"],
               ["trace", "--d", "0", "--D", "1", "--m", "1"],
-              ["coeff", "--d", "2624406480004", "--D", "1", "--cmax", "100"]]
+              ["coeff", "--d", "2624406480004", "--D", "1", "--cmax", "100"],
+              ["coeff", "--d", "1000005", "--D", "1", "--cmax", "100"]]
     return calls
 
 

@@ -30,6 +30,7 @@ COMMANDS = (
     "trace --d -7 --D 1 --m 1",
     "trace --d 5 --D 1 --m 1",
     "jm coeffs --m 1 --n 8",
+    "jm coeffs --m 10 --n 64",
     "qforms list --disc 5",
     "verify prop1 --m 1 --bound 60",
 )
