@@ -43,9 +43,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_coeff(args) -> int:
-    deltas = tuple(args.deltas or series.DELTAS_DEFAULT)
-    c_max_by_delta = dict.fromkeys(deltas, args.cmax) if args.cmax else None
-    sv = series.coeff_a(args.d, args.D, deltas, c_max_by_delta)
+    sv = series.coeff_a(args.d, args.D, args.cmax)
     print(json.dumps({"d": args.d, "D": args.D, **dataclasses.asdict(sv)}, sort_keys=True))
     return EXIT_OK
 
@@ -214,17 +212,6 @@ def _ints(parser: argparse.ArgumentParser, *names: str, **defaults: int) -> None
         )
 
 
-class _Deltas(argparse.Action):
-    """--deltas: the extrapolation grid, checked by series' own rules at parse time."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        try:
-            series._delta_grid(tuple(values), None)
-        except ValueError as exc:
-            parser.error(f"argument {option_string}: {exc}")
-        setattr(namespace, self.dest, values)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -247,7 +234,6 @@ def _build_parser() -> _Parser:
 
     c = sub.add_parser("coeff", help="series-side coefficient a(d, D)")
     _ints(c, "d", "D")
-    c.add_argument("--deltas", type=float, nargs="+", action=_Deltas)
     c.add_argument("--cmax", type=_number(int, series.C_MAX_FLOOR, series.C_MAX_LIMIT))
     c.set_defaults(func=_cmd_coeff)
 

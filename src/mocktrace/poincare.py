@@ -320,8 +320,10 @@ def prop1_lhs(d: int, D: int, m: int, s: float, bound: int | None = None) -> tup
     representatives go through _split_ray_integral, which straightens each
     half of the geodesic into a vertical ray by a cusp scaling matrix.
     """
+    if d <= 0 or D <= 0:
+        raise ValueError(f"prop1_lhs needs d, D > 0, got d={d}, D={D}")
     dD = d * D
-    if dD <= 0 or math.isqrt(dD) ** 2 != dD:
+    if math.isqrt(dD) ** 2 != dD:
         raise ValueError(f"prop1_lhs needs a positive square dD, got {dD}")
     if not 1.25 <= s <= 3:
         raise ValueError(f"s must lie in [1.25, 3], got {s}")

@@ -73,8 +73,8 @@ D0_MAX = 10**6  # L_{d0}(w) sums |d0| Hurwitz zeta values: seconds at 10^6
 TAIL_SERIES_SPLIT = 8.0
 _gauss_legendre = lru_cache(maxsize=None)(leggauss)  # leggauss takes 0.3 ms a call
 
-DELTAS_DEFAULT = (0.2, 0.1, 0.05)
-CMAX_BY_DELTA = {0.2: 30_000, 0.1: 100_000, 0.05: 200_000}
+# coeff_a's extrapolation grid: (delta, c_max) with s = 3/4 + delta
+DELTA_GRID = ((0.2, 30_000), (0.1, 100_000), (0.05, 200_000))
 
 
 @dataclass
@@ -277,10 +277,10 @@ def _check_c_max(c_max: int) -> None:
         raise ValueError(f"c_max must be at most {C_MAX_LIMIT}, got {c_max}")
 
 
-def _check_series_c_max(c_max: int, where: str = "") -> None:
+def _check_series_c_max(c_max: int) -> None:
     """The c_max range of a series: at least C_MAX_FLOOR, at most C_MAX_LIMIT."""
     if c_max < C_MAX_FLOOR:
-        raise ValueError(f"c_max must be at least {C_MAX_FLOOR}, got {c_max}{where}")
+        raise ValueError(f"c_max must be at least {C_MAX_FLOOR}, got {c_max}")
     _check_c_max(c_max)
 
 
@@ -513,7 +513,9 @@ def _root_sum_array(d: int, D: int, c_max: int, m: int = 1) -> np.ndarray:
     return out
 
 
-# symmetric sweeps (K+(d, D) against K+(D, d) over a grid) ask for each value twice
+# sweeps repeat some K+ values: verify symmetry's d = D diagonal, and the n > 1 terms
+# K+(d, (m/n)^2 D; 4c/n) of verify kloosterman's S_m identity, which repeat its n = 1
+# terms at m/n and c/n; K+(D, d) is a key apart from K+(d, D), so those never share
 @lru_cache(maxsize=4096)
 def _root_sum_at(d: int, D: int, c: int, m: int = 1) -> float:
     """_root_sums at the one modulus c, from a root table of the q || 4c alone."""
@@ -623,43 +625,14 @@ def b_series(d: int, D: int, s: float, c_max: int) -> SeriesValue:
     raise ValueError(f"b_series is undefined for dD < 0, got d={d}, D={D}")
 
 
-def _delta_grid(deltas: tuple[float, ...], c_max_by_delta: dict | None) -> list[tuple[float, int]]:
-    """The (delta, c_max) pairs of an extrapolation, checked before any work.
-
-    The fits have three unknowns, so they need at least three distinct
-    deltas; every delta must be positive (s = 3/4 + delta > 3/4) and every
-    c_max used at least 100 and within the sieve.
-    """
-    cmaxes = c_max_by_delta or CMAX_BY_DELTA
-    for delta in deltas:
-        if not 0 < delta < math.inf:
-            raise ValueError(f"deltas must be positive and finite, got {delta}")
-        try:
-            gamma_real(1.5 + 2 * delta)  # b(0, 0, s) carries Gamma(2s)
-        except OverflowError:
-            raise ValueError(f"delta {delta} is too large: Gamma(2s) overflows a double") from None
-    if len(set(deltas)) < 3:
-        raise ValueError(
-            f"the extrapolation needs at least 3 distinct deltas, got {len(set(deltas))}"
-        )
-    grid = [(delta, cmaxes.get(delta, max(cmaxes.values()))) for delta in deltas]
-    for delta, cm in grid:
-        _check_series_c_max(cm, f" for delta {delta}")
-    return grid
-
-
-def coeff_a(
-    d: int,
-    D: int,
-    deltas: tuple[float, ...] = DELTAS_DEFAULT,
-    c_max_by_delta: dict | None = None,
-) -> SeriesValue:
+def coeff_a(d: int, D: int, c_max: int | None = None) -> SeriesValue:
     """The coefficient a(d, D) by extrapolating s -> 3/4 from the right.
 
     Evaluates F(s) = (dD)^{-1/2} (b(d,D,s) - b(d,0,s) b(0,D,s) / b(0,0,s))
-    on the delta grid s = 3/4 + delta and extrapolates to delta = 0 in the
-    basis {1, delta, delta^{3/2}}; the half-integer exponent matches the
-    observed approach rate and calibrates against the geometric-side traces.
+    at s = 3/4 + delta over DELTA_GRID, each delta summed to its own c_max
+    or to the one c_max given, and extrapolates to delta = 0 in the basis
+    {1, delta, delta^{3/2}}; the half-integer exponent matches the observed
+    approach rate and calibrates against the geometric-side traces.
     The reported tail folds in the disagreement with a plain quadratic fit
     as the extrapolation-model uncertainty.
     """
@@ -668,8 +641,9 @@ def coeff_a(
     _check_route(f"a({d}, {D})", d, D)
     _check_fundamental_part("d", d)
     _check_fundamental_part("D", D)
-    grid = _delta_grid(deltas, c_max_by_delta)
+    grid = DELTA_GRID if c_max is None else [(delta, c_max) for delta, _ in DELTA_GRID]
     c_max = max(cm for _, cm in grid)
+    _check_series_c_max(c_max)
     # R(c) does not depend on s: one array at the largest c_max serves every
     # delta through its prefix
     R = _root_sum_array(d, D, c_max)
@@ -695,7 +669,7 @@ def coeff_a(
     alt_coeffs, *_ = np.linalg.lstsq(alt, ya, rcond=None)
     model_err = abs(value - float(alt_coeffs[0]))
     tail = max(tails) + model_err
-    return SeriesValue(value, c_max, 0.75, tail, {"deltas": list(deltas), "F_values": ys})
+    return SeriesValue(value, c_max, 0.75, tail, {"deltas": xs, "F_values": ys})
 
 
 # ----------------------------------------------------------------------
@@ -705,6 +679,8 @@ def coeff_a(
 
 def prop1_rhs(d: int, D: int, m: int, s: float, c_max: int = 10_000) -> SeriesValue:
     """The Kloosterman-Bessel series side of the trace identity for G_{m,Q}."""
+    if d <= 0 or D <= 0:
+        raise ValueError(f"prop1_rhs needs d, D > 0, got d={d}, D={D}")
     if s <= 1:
         raise ValueError(f"prop1_rhs requires s > 1, got {s}")
     _check_s_m_args(m, d, D)

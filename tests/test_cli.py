@@ -150,6 +150,14 @@ class TestVerifyCommands:
         capsys.readouterr()
         assert dispatch(args + ["--tol", "1e-9"]) == EXIT_VERIFY
 
+    @pytest.mark.parametrize("d, D", [("-3", "-3"), ("-4", "-4")])
+    def test_prop1_negative_pair_is_a_domain_error(self, d, D, capsys):
+        # dD is a positive square, but the identity is stated for d, D > 0
+        assert dispatch(["verify", "prop1", "--d", d, "--D", D, "--m", "0", "--s", "2"]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: prop1_lhs needs d, D > 0, got d={d}, D={D}\n"
+
     def test_prop1_unresolved_ray_is_a_domain_error(self, capsys):
         # at m = 6 the ray integrand cancels beyond what the panel cap resolves
         args = ["verify", "prop1", "--d", "4", "--D", "1", "--m", "6", "--s", "2", "--bound", "100"]
@@ -249,23 +257,17 @@ class TestCmaxCeiling:
 
 
 class TestDeltaGrid:
-    @pytest.mark.parametrize(
-        "deltas, message",
-        [
-            (["0.2"], "the extrapolation needs at least 3 distinct deltas, got 1"),
-            (["0.2", "0.1"], "the extrapolation needs at least 3 distinct deltas, got 2"),
-            (["0.2", "0.2", "0.2"], "the extrapolation needs at least 3 distinct deltas, got 1"),
-            (["0.2", "0.1", "0"], "deltas must be positive and finite, got 0.0"),
-            (["0.2", "0.1", "-0.05"], "deltas must be positive and finite, got -0.05"),
-            # b(0, 0, s) carries Gamma(2s), past the double range from s = 85.8 on
-            (["85", "86", "87"], "delta 86.0 is too large: Gamma(2s) overflows a double"),
-        ],
-    )
-    def test_unusable_deltas_are_a_usage_error(self, deltas, message, capsys):
-        assert dispatch(["coeff", "--d", "1", "--D", "1", "--deltas", *deltas]) == EXIT_USAGE
+    def test_grid_is_fixed(self, capsys):
+        # coeff sums on series.DELTA_GRID; --cmax replaces every delta's c_max
+        argv = ["coeff", "--d", "1", "--D", "1"]
+        assert dispatch(argv + ["--deltas", "0.2", "0.1", "0.05"]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"argument --deltas: {message}" in captured.err
+        assert "unrecognized arguments: --deltas" in captured.err
+        assert dispatch(argv + ["--cmax", "1000"]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["params"]["deltas"] == [0.2, 0.1, 0.05]
+        assert out["c_max"] == 1000
 
 
 class TestCmaxFloor:
@@ -277,7 +279,7 @@ class TestCmaxFloor:
         [
             ["coeff", "--d", "1", "--D", "1", "--cmax", "50"],
             ["verify", "prop1", "--d", "1", "--D", "1", "--m", "1", "--s", "2.0", "--cmax", "50"],
-            ["coeff", "--d", "1", "--D", "1", "--deltas", "0.2", "0.1", "0.05", "--cmax", "99"],
+            ["coeff", "--d", "1", "--D", "1", "--cmax", "99"],
             ["verify", "prop1", "--cmax", "0"],
             ["verify", "kloosterman", "--cmax", "0"],
             ["verify", "symmetry", "--cmax", "-3"],

@@ -1,6 +1,7 @@
 """Truncated Poincare series: coset enumeration, evaluation, cycle integrals."""
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -489,6 +490,13 @@ class TestProp1Lhs:
             prop1_lhs(1, 1, 0, 1.1, bound=20)  # s out of range
         with pytest.raises(ValueError):
             prop1_lhs(1, 1, -1, 2.0, bound=20)
+
+    @pytest.mark.parametrize("d, D", [(-3, -3), (-4, -4), (-1, -1)])
+    def test_negative_pair_rejected(self, d, D, monkeypatch):
+        # dD is a positive square, but the identity is stated for d, D > 0
+        monkeypatch.setattr(poincare, "classes_square", None)
+        with pytest.raises(ValueError, match=re.escape(f"prop1_lhs needs d, D > 0, got d={d}, D={D}")):
+            prop1_lhs(d, D, 0, 2.0)
 
     def test_bound_ceiling(self):
         message = f"bound must be at most {poincare.BOUND_LIMIT}"

@@ -256,6 +256,13 @@ class TestProp1Rhs:
         with pytest.raises(ValueError):
             prop1_rhs(2, 1, 0, 2.0)
 
+    @pytest.mark.parametrize("d, D", [(-3, -3), (-4, -4), (-1, -1)])
+    def test_negative_pair_rejected(self, d, D, monkeypatch):
+        # dD is a positive square, but the identity is stated for d, D > 0
+        monkeypatch.setattr(series, "_root_sum_array", None)
+        with pytest.raises(ValueError, match=re.escape(f"prop1_rhs needs d, D > 0, got d={d}, D={D}")):
+            prop1_rhs(d, D, 0, 2.0)
+
 
 class TestBesselTailIntegral:
     """int_X^inf J_nu(A / c) / sqrt c dc against the 1F2 closed form at 60 digits."""
@@ -371,7 +378,7 @@ class TestRootSumArray:
 class TestCoeffA:
     """One root-sum array per coefficient, shared by every delta."""
 
-    SMALL = {0.2: 3_000, 0.1: 17_000, 0.05: 40_000}
+    C_MAX = 40_000
 
     def test_one_root_sum_pass_at_the_largest_c_max(self, monkeypatch):
         calls = []
@@ -385,23 +392,33 @@ class TestCoeffA:
 
         inner.cache_clear()
         monkeypatch.setattr(series, "_root_sum_array", counting)
-        # 0.3 is not on the grid: its larger c_max must not be built
-        sv = coeff_a(1, 1, c_max_by_delta={**self.SMALL, 0.3: 60_000})
-        assert calls == [((1, 1, 40_000), 1)]
-        assert sv.c_max == 40_000
+        # the smaller deltas' c_max read prefixes of the one array
+        sv = coeff_a(1, 1)
+        assert calls == [((1, 1, 200_000), 1)]
+        assert sv.c_max == 200_000
 
-    @pytest.mark.parametrize("d", [1, 4, 5, 13])
-    def test_F_values_match_per_delta_series(self, d):
-        sv = coeff_a(d, 1, c_max_by_delta=self.SMALL)
+    @staticmethod
+    def per_delta_F(d, grid):
         # b_series builds its own array at each delta's c_max
         _root_sum_array.cache_clear()
         want = []
-        for delta in series.DELTAS_DEFAULT:
-            s, cm = 0.75 + delta, self.SMALL[delta]
+        for delta, cm in grid:
+            s = 0.75 + delta
             bdD, bd0 = b_series(d, 1, s, cm), b_series(d, 0, s, cm)
             b0D, b00 = b_series(0, 1, s, cm), b_series(0, 0, s, cm)
             want.append((bdD.value - bd0.value * b0D.value / b00.value) / math.sqrt(d))
-        assert sv.params["F_values"] == want
+        return want
+
+    @pytest.mark.parametrize("d", [1, 4, 5, 13])
+    def test_F_values_match_per_delta_series(self, d):
+        sv = coeff_a(d, 1, c_max=self.C_MAX)
+        grid = [(delta, self.C_MAX) for delta, _ in series.DELTA_GRID]
+        assert sv.params["F_values"] == self.per_delta_F(d, grid)
+
+    def test_F_values_on_the_grid_match_per_delta_series(self):
+        sv = coeff_a(1, 1)
+        assert sv.params["deltas"] == [delta for delta, _ in series.DELTA_GRID]
+        assert sv.params["F_values"] == self.per_delta_F(1, series.DELTA_GRID)
 
     @pytest.mark.parametrize("d", [1, 4])
     def test_degenerate_series_sum_no_terms(self, d, monkeypatch):
@@ -409,7 +426,7 @@ class TestCoeffA:
             raise AssertionError("degenerate series summed term by term")
 
         monkeypatch.setattr(series, "_T_zero_case", refuse)
-        assert math.isfinite(coeff_a(d, 1, c_max_by_delta=self.SMALL).value)
+        assert math.isfinite(coeff_a(d, 1, c_max=self.C_MAX).value)
 
 
 class TestFundamentalPartLimit:
@@ -470,7 +487,7 @@ class TestModulusCeiling:
         [
             lambda: b_series(1, 1, 1.0, C_MAX_LIMIT + 1),
             lambda: b_series(5, 0, 1.0, 250_000),
-            lambda: coeff_a(1, 1, c_max_by_delta={0.2: 30_000, 0.1: 100_000, 0.05: 250_000}),
+            lambda: coeff_a(1, 1, c_max=250_000),
             lambda: prop1_rhs(1, 1, 0, 2.0, c_max=C_MAX_LIMIT + 1),
         ],
     )
@@ -485,6 +502,7 @@ class TestModulusCeiling:
             lambda: b_series(5, 0, 1.0, 50),
             lambda: prop1_rhs(1, 1, 1, 2.0, c_max=50),
             lambda: prop1_rhs(1, 1, 0, 2.0, c_max=99),
+            lambda: coeff_a(1, 1, c_max=50),
         ],
     )
     def test_small_c_max_rejected(self, no_work, call):
@@ -503,27 +521,6 @@ class TestModulusCeiling:
         # measures a spread; it must cover the distance to c_max = 10,000
         small, large = prop1_rhs(1, 1, m, 2.0, c_max=100), prop1_rhs(1, 1, m, 2.0, c_max=10_000)
         assert small.tail_estimate >= abs(small.value - large.value) > 0
-
-    @pytest.mark.parametrize(
-        "kwargs, message",
-        [
-            ({"deltas": (0.2,)}, "at least 3 distinct deltas, got 1"),
-            ({"deltas": (0.2, 0.1)}, "at least 3 distinct deltas, got 2"),
-            ({"deltas": (0.2, 0.2, 0.2)}, "at least 3 distinct deltas, got 1"),
-            ({"deltas": (0.2, 0.1, 0.0)}, "deltas must be positive and finite, got 0.0"),
-            ({"deltas": (0.2, 0.1, -0.05)}, "deltas must be positive and finite, got -0.05"),
-            ({"deltas": (0.2, 0.1, math.nan)}, "deltas must be positive and finite, got nan"),
-            (
-                {"c_max_by_delta": {0.2: 30_000, 0.1: 100_000, 0.05: 50}},
-                "c_max must be at least 100, got 50 for delta 0.05",
-            ),
-            ({"deltas": (100, 150, 200)}, r"delta 100 is too large: Gamma\(2s\) overflows"),
-        ],
-    )
-    @pytest.mark.parametrize("fn", [coeff_a], ids=["coeff_a"])
-    def test_delta_grid_rejected(self, no_work, fn, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            fn(1, 1, **kwargs)
 
     @pytest.mark.parametrize(
         "call, coefficient",

@@ -13,7 +13,11 @@ stdout and stderr captured per invocation:
 - `coeff --d d --D 1` for the d of its `coeff_verify` pool, and `coeff` at
   (d, D) = (1, 8), (1, 12) and (8, 5), whose root tables lift the roots
   mod 2^k of an even dD and the roots mod 5^k;
-- `verify prop1` on the shapes of its `prop1_box` pool;
+- `coeff --d 5 --D 1 --deltas 0.2 0.1 0.05`, the grid option that was
+  dropped;
+- `verify prop1` on the shapes of its `prop1_box` pool, and
+  `verify prop1 --d -3 --D -3 --m 0 --bound 100`, whose dD is a positive
+  square outside the identity's domain d, D > 0;
 - `qforms list --disc n` for -200 <= n <= 200;
 - `jm coeffs` at (m, N) = (0, 1) and (10, 64);
 - `trace --D 1` at the last d whose CM values fit in a double and the first
@@ -90,10 +94,12 @@ def invocations() -> list[list[str]]:
     calls += semicircle
     calls += [["coeff", "--d", op.split()[1], "--D", "1"] for op in coeff_verify_pool()]
     calls += [["coeff", "--d", d, "--D", D] for d, D in (("1", "8"), ("1", "12"), ("8", "5"))]
+    calls.append(["coeff", "--d", "5", "--D", "1", "--deltas", "0.2", "0.1", "0.05"])
     for op in prop1_box_pool():
         d, D, m, s, bound = op.split()[1:]
         calls.append(["verify", "prop1", "--d", d, "--D", D, "--m", m, "--s", s]
                      + ([] if bound == "default" else ["--bound", bound]))
+    calls.append(["verify", "prop1", "--d", "-3", "--D", "-3", "--m", "0", "--bound", "100"])
     calls += [["qforms", "list", "--disc", str(n)] for n in range(-200, 201)]
     calls += [["jm", "coeffs", "--m", m, "--n", n] for m, n in (("0", "1"), ("10", "64"))]
     calls += [["trace", "--d", d, "--D", "1", "--m", m]
