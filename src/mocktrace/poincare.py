@@ -319,6 +319,8 @@ def prop1_lhs(d: int, D: int, m: int, s: float, bound: int | None = None) -> tup
     use the symmetrized integral with a fitted power tail; a != 0
     representatives go through _split_ray_integral, which straightens each
     half of the geodesic into a vertical ray by a cusp scaling matrix.
+    Raises ArithmeticError when err_estimate exceeds |value|, the bar each
+    ray meets on its own.
     """
     if d <= 0 or D <= 0:
         raise ValueError(f"prop1_lhs needs d, D > 0, got d={d}, D={D}")
@@ -349,5 +351,8 @@ def prop1_lhs(d: int, D: int, m: int, s: float, bound: int | None = None) -> tup
         err += e
     Bs = B_factor(s)
     # crude box-truncation heuristic on top of the quadrature error
-    err = err / Bs + 10.0 * bound ** (2 - 2 * s)
-    return total / Bs, err
+    value, err = total / Bs, err / Bs + 10.0 * bound ** (2 - 2 * s)
+    if err > abs(value):  # the classes cancel below the error, as rays of size 1e8 can
+        raise ArithmeticError(f"the class sum at m={m}, s={s}, bound={bound} is unresolved: "
+                              f"{value:.4g} against an error of {err:.2g}; try a smaller m")
+    return value, err

@@ -9,15 +9,17 @@ mod 4c weighted by the genus character chi_D([c, b, *]).  The defining sum
 _root_sums is the one route to the root sums: it builds R(c) in numpy for
 an array of moduli, in blocks of ROOT_SUM_BLOCK.  _root_sum_array runs it
 over every c <= c_max, and a single modulus (_root_sum_at) runs it over
-that c alone.  Every 4c is factored through the smallest-prime-factor
-sieve, and by CRT R(c) is a sign times the product, over the prime powers
-q || 4c, of local sums over the square roots of dD mod q.  chi_D is the
-product of the Kronecker characters of the prime discriminants of D, and
-each of those splits into the sign on c and a weight on the local roots at
-its own prime.  Each call builds its table of local roots for the prime
-powers its moduli can have: Tonelli-Shanks and Hensel on arrays for odd
-p not dividing dD, a scan mod p and a lift per power for the rest.  All
-moduli 4c must lie inside the sieve: c_max <= C_MAX_LIMIT.
+that c alone.  By CRT R(c) is a sign times the product, over the prime
+powers q || 4c, of local sums over the square roots of dD mod q.  chi_D is
+the product of the Kronecker characters of the prime discriminants of D,
+and each of those splits into the sign on c and a weight on the local
+roots at its own prime.  The half that depends only on the moduli is a
+_crt_plan: every 4c factored through the smallest-prime-factor sieve,
+each q's row and (4c/q)^-1 mod q, and each odd prime's Tonelli-Shanks
+constant.  Every array of one c_max shares one plan (_array_plan).  Each
+call adds its table of local roots of dD: Tonelli-Shanks and Hensel on
+arrays for odd p not dividing dD, a scan mod p and a lift per power for
+the rest.  All moduli 4c must lie inside the sieve: c_max <= C_MAX_LIMIT.
 
 On top of K+ sit the series b(d, D, s), the extrapolated coefficients
 a(d, D), the spectral sides of the trace identity, and the divisor-sum
@@ -30,6 +32,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -136,22 +139,17 @@ def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     return out
 
 
-def _odd_roots(a: int, p: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _odd_roots(a: int, p: np.ndarray, k: np.ndarray, g: np.ndarray) -> np.ndarray:
     """A square root of a mod p^k per entry (odd prime p not dividing a), -1 where none.
 
-    Tonelli-Shanks masked over the primes by s, p - 1 = Q 2^s: g = z^Q for a
-    non-residue z, x = a^((Q+1)/2) and t = a^Q keep x^2 = a t, and pass
+    Tonelli-Shanks masked over the primes by s, p - 1 = Q 2^s, with g = z^Q for a
+    non-residue z (_crt_plan): x = a^((Q+1)/2) and t = a^Q keep x^2 = a t, and pass
     j = s-1 .. 1 takes x, t to x g, t g^2 where t has order 2^j, then g to g^2.
     A non-residue leaves x^2 != a mod p; roots are Hensel-lifted to p^k."""
     s = np.frexp((p - 1) & (1 - p))[1] - 1  # 2^s || p - 1, exact in float
     Q = (p - 1) >> s
-    z, todo, cand = np.zeros_like(p), (s > 1).nonzero()[0], 2
-    while todo.size:
-        found = _powmod(np.full_like(todo, cand), (p[todo] - 1) // 2, p[todo]) == p[todo] - 1
-        z[todo[found]], todo, cand = cand, todo[~found], cand + 1
-    x, t, g = _powmod(np.concatenate((np.full(2 * p.size, a), z)),
-                      np.concatenate(((Q + 1) // 2, Q, Q)),
-                      np.concatenate((p, p, p))).reshape(3, -1)
+    x, t = _powmod(np.full(2 * p.size, a), np.concatenate(((Q + 1) // 2, Q)),
+                   np.concatenate((p, p))).reshape(2, -1)
     for j in range(int(s.max(initial=1)) - 1, 0, -1):
         i = (s > j).nonzero()[0]
         w = t[i]
@@ -302,7 +300,7 @@ def kloosterman_plus(d: int, D: int, modulus: int) -> float:
             return 4.0 * math.sqrt(c) * _T_zero_case(n, c)
         return _kp_direct(d, D, c)
     if (d * D) % 4 in (0, 1) and any(map(is_fundamental_discriminant, (d, D))):
-        return 2.0 * math.sqrt(c) * _root_sum_at(d, D, c)
+        return 2.0 * math.sqrt(c) * _root_sum_at(d, D, c, 1)
     return _kp_direct(d, D, c)
 
 
@@ -376,18 +374,76 @@ def _prime_powers(c_max: int) -> np.ndarray:
     return rows[np.argsort(rows[:, 0] ** rows[:, 1])]
 
 
-def _local_root_table(a: int, factors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The square roots of a modulo each prime power p^k of `factors`, sorted by value.
+class _Plan(NamedTuple):
+    """The half of _root_sums that depends only on the moduli: see _crt_plan."""
+
+    p: np.ndarray  # int32, the prime powers p^k sorted by value
+    k: np.ndarray  # int8
+    g: np.ndarray  # int32, z^Q mod p as _odd_roots takes it
+    blocks: tuple  # per ROOT_SUM_BLOCK of moduli: (row uint16, inv int32, passes)
+
+
+def _crt_plan(c: np.ndarray, factors) -> _Plan:
+    """The CRT split of every 4c into its prime powers q || 4c, block by block.
+
+    `factors` are the (p, k) rows, sorted by p^k, of every such q.  4c splits
+    into its 2-part, then one odd prime power per pass, smallest prime first.
+    Each block holds, for the pairs (4c, q) of all passes in order, the row of
+    q in `factors` and (4c/q)^-1 mod q, and for every pass but the 2-part the
+    positions in the block of the c it splits further (int16).  Per row, g is
+    z^Q mod p, p - 1 = Q 2^s, for the least non-residue z where s > 1, else 0.
+    """
+    p, k = np.asarray(factors, dtype=np.int64).reshape(-1, 2).T
+    qs, spf, s = p**k, _spf_sieve(), np.frexp((p - 1) & (1 - p))[1] - 1
+    z, todo, cand = np.zeros_like(p), (s > 1).nonzero()[0], 2
+    while todo.size:
+        found = _powmod(np.full_like(todo, cand), (p[todo] - 1) // 2, p[todo]) == p[todo] - 1
+        z[todo[found]], todo, cand = cand, todo[~found], cand + 1
+    index = np.zeros(qs[-1] + 1, dtype=np.uint16)  # q -> row
+    index[qs] = np.arange(qs.size)
+    blocks = []
+    for lo in range(0, c.size, ROOT_SUM_BLOCK):
+        cb = c[lo : lo + ROOT_SUM_BLOCK]
+        low = cb & -cb
+        passes = [(np.arange(cb.size), 4 * low)]  # the 2-part of 4c
+        rest = cb // low
+        idx = np.flatnonzero(rest > 1)
+        while idx.size:
+            n = rest[idx]
+            pp = spf[n].astype(np.int64)
+            q, n = pp.copy(), n // pp
+            while (more := n % pp == 0).any():
+                q[more] *= pp[more]
+                n[more] //= pp[more]
+            passes.append((idx, q))
+            rest[idx] = n
+            idx = idx[n > 1]
+        owner, q = (np.concatenate(parts) for parts in zip(*passes))
+        inv = inverse_mod(4 * cb[owner] // q, q)
+        blocks.append((index[q], inv.astype(np.int32),
+                       tuple(idx.astype(np.int16) for idx, _ in passes[1:])))
+    g = _powmod(z, (p - 1) >> s, p)
+    return _Plan(p.astype(np.int32), k.astype(np.int8), g.astype(np.int32), tuple(blocks))
+
+
+@lru_cache(maxsize=4)
+def _array_plan(c_max: int) -> _Plan:
+    """_crt_plan of c = 1 .. c_max, shared by every root-sum array of that length."""
+    return _crt_plan(np.arange(1, c_max + 1, dtype=np.int64), _prime_powers(c_max))
+
+
+def _local_root_table(a: int, plan: _Plan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The square roots of a modulo each prime power p^k of the plan, sorted by value.
 
     Returns (q, start, roots) with q sorted and the roots of a mod q[i] in
     roots[start[i]:start[i + 1]]: +-r from _odd_roots for the odd p not
     dividing a, _sqrt_mod_prime_power for p = 2 and the p dividing a.
     """
-    p, k = np.asarray(factors, dtype=np.int64).reshape(-1, 2).T
+    p, k = plan.p.astype(np.int64), plan.k.astype(np.int64)
     qs = p**k
     bulk = (p > 2) & (a % p != 0)
     odd, rest = bulk.nonzero()[0], (~bulk).nonzero()[0]
-    r = _odd_roots(a, p[odd], k[odd])
+    r = _odd_roots(a, p[odd], k[odd], plan.g[odd].astype(np.int64))
     odd, r = odd[r >= 0], r[r >= 0]
     local = [_sqrt_mod_prime_power(a, *pk) for pk in zip(p[rest].tolist(), k[rest].tolist())]
     count = np.zeros(qs.size + 1, dtype=np.int64)
@@ -402,15 +458,16 @@ def _local_root_table(a: int, factors) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return qs, start, roots
 
 
-def _local_sums(M, q, m, table) -> np.ndarray:
-    """sum over r^2 = dD mod q of w(r) e(r t / q), t = 2m (M/q)^-1 mod q, per pair (M, q).
+def _local_sums(row, inv, m, table) -> np.ndarray:
+    """sum over r^2 = dD mod q of w(r) e(r t / q), t = 2m inv mod q, per pair (row, inv).
 
-    w(r) is the root's genus weight, 1 when the table carries none.
+    q is the prime power of the table row and inv = (4c/q)^-1 mod q; w(r) is
+    the root's genus weight, 1 when the table carries none.
     """
-    index, start, roots, weights = table
-    t = (2 * m) % q * inverse_mod(M // q, q) % q
-    pos = index[q]
-    first, count = start[pos], start[pos + 1] - start[pos]
+    qs, start, roots, weights = table
+    q = qs[row]
+    t = (2 * m) % q * inv % q
+    first, count = start[row], start[row + 1] - start[row]
     pair = np.repeat(np.arange(q.size), count)
     at = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(pair.size)
     qp = q[pair]
@@ -422,37 +479,7 @@ def _local_sums(M, q, m, table) -> np.ndarray:
     return np.bincount(pair, cos, q.size) + 1j * np.bincount(pair, sin, q.size)
 
 
-def _root_sum_block(c: np.ndarray, m: int, table) -> np.ndarray:
-    """The CRT product of the local sums over the prime powers q || 4c.
-
-    4c splits into its 2-part, then one odd prime power per pass, smallest
-    prime first; the local sums of all passes are taken in one call.
-    """
-    spf = _spf_sieve()
-    low = c & -c
-    passes = [(np.arange(c.size), 4 * low)]  # the 2-part of 4c
-    rest = c // low
-    idx = np.flatnonzero(rest > 1)
-    while idx.size:
-        n = rest[idx]
-        p = spf[n].astype(np.int64)
-        q, n = p.copy(), n // p
-        while (more := n % p == 0).any():
-            q[more] *= p[more]
-            n[more] //= p[more]
-        passes.append((idx, q))
-        rest[idx] = n
-        idx = idx[n > 1]
-    owner, q = (np.concatenate(parts) for parts in zip(*passes))
-    L = _local_sums(4 * c[owner], q, m, table)
-    R, at = L[: c.size], c.size
-    for idx, _ in passes[1:]:
-        R[idx] *= L[at : at + idx.size]
-        at += idx.size
-    return R
-
-
-def _root_sums(d: int, D: int, c: np.ndarray, m: int, factors: list) -> np.ndarray:
+def _root_sums(d: int, D: int, c: np.ndarray, m: int, plan: _Plan) -> np.ndarray:
     """R(c) = sum over b mod 4c with b^2 = dD of chi_D([c,b,*]) e(mb/2c), per modulus of c.
 
     For m = 1 this is K+(d, D; 4c) / (2 sqrt c).  D carries the character
@@ -464,15 +491,14 @@ def _root_sums(d: int, D: int, c: np.ndarray, m: int, factors: list) -> np.ndarr
     q = p^k || 4c, so every factor splits into a sign (p* / (c/p^v)),
     p^v || c, and, where p | c (at 2: q >= 8), a weight (p* / ((r^2 - dD)/q))
     on each square root r of dD mod q.  R(c) is the sign times the CRT
-    product of the weighted local root sums (_root_sum_block), for every
-    modulus alike.  The table of local roots holds the prime powers
-    `factors` (sorted by value, covering every q || 4c) with a dense index
-    from q to its row, and lives for one call; the moduli are processed in
-    blocks of ROOT_SUM_BLOCK.
+    product of the weighted local root sums, for every modulus alike.
+    `plan` is the _crt_plan of c, the half that does not depend on dD; this
+    call adds the table of local roots of dD at the plan's prime powers,
+    their weights and the sums, block by block.
     """
     dd, DD = (d, D) if is_fundamental_discriminant(D) else (D, d)
     a = dd * DD
-    qs, start, roots = _local_root_table(a, factors)
+    qs, start, roots = _local_root_table(a, plan)
     sign, weights = np.ones_like(c), None
     if DD != 1:
         q = np.repeat(qs, np.diff(start))  # the modulus of each root
@@ -486,20 +512,23 @@ def _root_sums(d: int, D: int, c: np.ndarray, m: int, factors: list) -> np.ndarr
         sign *= chi[cp % chi.size]
         at = q % (8 if p == 2 else p) == 0  # the roots mod q = p^k with p | c
         weights[at] *= chi[(roots[at] * roots[at] - a) // q[at] % chi.size]
-    index = np.zeros(qs[-1] + 1, dtype=np.int32)
-    index[qs] = np.arange(qs.size)
-    table = (index, start, roots, weights)
+    table = (qs, start, roots, weights)
     out = np.empty(c.size)
-    for lo in range(0, c.size, ROOT_SUM_BLOCK):
-        block = slice(lo, lo + ROOT_SUM_BLOCK)
-        R = _root_sum_block(c[block], m, table) * sign[block]
+    for lo, (row, inv, passes) in zip(range(0, c.size, ROOT_SUM_BLOCK), plan.blocks):
+        L = _local_sums(row, inv, m, table)
+        n = row.size - sum(idx.size for idx in passes)  # the 2-parts come first
+        R, at = L[:n], n
+        for idx in passes:  # each later pass multiplies in its prime power's sums
+            R[idx] *= L[at : at + idx.size]
+            at += idx.size
+        R = R * sign[lo : lo + n]
         bad = np.abs(R.imag) > KP_IMAG_TOL * np.maximum(1.0, np.abs(R.real))
         if bad.any():
             i = int(np.argmax(bad))
             raise ArithmeticError(
                 f"root sum ({dd},{DD},{c[lo + i]},{m}) imaginary residue {R.imag[i]}"
             )
-        out[block] = R.real
+        out[lo : lo + n] = R.real
     return out
 
 
@@ -508,19 +537,21 @@ def _root_sum_array(d: int, D: int, c_max: int, m: int = 1) -> np.ndarray:
     """_root_sums for c = 1 .. c_max, shared through the cache and read-only."""
     _check_c_max(c_max)
     c = np.arange(1, c_max + 1, dtype=np.int64)
-    out = _root_sums(d, D, c, m, _prime_powers(c_max))
+    out = _root_sums(d, D, c, m, _array_plan(c_max))
     out.flags.writeable = False
     return out
 
 
 # sweeps repeat some K+ values: verify symmetry's d = D diagonal, and the n > 1 terms
 # K+(d, (m/n)^2 D; 4c/n) of verify kloosterman's S_m identity, which repeat its n = 1
-# terms at m/n and c/n; K+(D, d) is a key apart from K+(d, D), so those never share
+# terms at m/n and c/n; K+(D, d) is a key apart from K+(d, D), so those never share.
+# m has no default, so that K+ and S_1 hit one key
 @lru_cache(maxsize=4096)
-def _root_sum_at(d: int, D: int, c: int, m: int = 1) -> float:
-    """_root_sums at the one modulus c, from a root table of the q || 4c alone."""
+def _root_sum_at(d: int, D: int, c: int, m: int) -> float:
+    """_root_sums at the one modulus c, on the _crt_plan of that c alone."""
     factors = sorted(factorize(4 * c), key=lambda pk: pk[0] ** pk[1])
-    return float(_root_sums(d, D, np.array([c], dtype=np.int64), m, factors)[0])
+    c = np.array([c], dtype=np.int64)
+    return float(_root_sums(d, D, c, m, _crt_plan(c, factors))[0])
 
 
 def _bessel_tail_integral(nu: float, arg0: float, X: float) -> float:

@@ -166,6 +166,14 @@ class TestVerifyCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "m=6" in captured.err
 
+    def test_prop1_cancelling_class_sum_is_a_domain_error(self, capsys):
+        # every ray resolves, but the classes cancel below the summed error
+        args = ["verify", "prop1", "--d", "25", "--D", "1", "--m", "2", "--s", "2", "--bound", "100"]
+        assert dispatch(args) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the class sum at m=2, s=2.0, bound=100")
+
     @pytest.mark.parametrize(
         "argv",
         [["verify", "thm2", "--d", "4", "--D", "1", "--m", "2"], ["coeff", "--d", "4", "--D", "4"]],

@@ -82,8 +82,9 @@ class TestLocalRootTable:
             sq = np.arange(q) ** 2 % q
             order = np.argsort(sq, kind="stable")  # roots ascending within a residue
             squares[q] = (order, sq[order])
+        plan = series._crt_plan(np.arange(1, 1251), factors)  # the moduli 4c <= 5000
         for a in (*range(-20, 201), 328, 2_042_040 * 5, -2_042_040):
-            qs, start, roots = series._local_root_table(a, factors)
+            qs, start, roots = series._local_root_table(a, plan)
             assert qs.tolist() == [p**k for p, k in factors]
             for i, q in enumerate(qs.tolist()):
                 order, sq = squares[q]
@@ -199,6 +200,14 @@ class TestSmSum:
                         for n in divisors(math.gcd(m, c))
                     )
                     assert lhs == pytest.approx(rhs, abs=1e-10), (d, D, m, c)
+
+    def test_s1_and_kloosterman_share_one_root_sum(self):
+        # K+(d, D; 4c) = 2 sqrt(c) S_1(d, D; 4c): both callers hit one cache key
+        series._root_sum_at.cache_clear()
+        for c in range(1, 21):
+            assert kloosterman_plus(5, 5, 4 * c) == 2.0 * math.sqrt(c) * s_m_sum(1, 5, 5, 4 * c)
+        info = series._root_sum_at.cache_info()
+        assert (info.misses, info.hits) == (20, 20)
 
     def test_nonfundamental_twist_rejected(self):
         # the character underlying S_m is only defined for fundamental D
@@ -373,6 +382,38 @@ class TestRootSumArray:
         monkeypatch.setattr(series, "_local_root_table", one_sided)
         with pytest.raises(ArithmeticError, match="imaginary residue"):
             _root_sum_array(1, 1, 7, m=1)
+
+
+class TestRootSumPlan:
+    """The dD-independent half of the root sums, built once per c_max."""
+
+    @staticmethod
+    def nbytes(plan) -> int:
+        blocks = (a for row, inv, passes in plan.blocks for a in (row, inv, *passes))
+        return sum(a.nbytes for a in (plan.p, plan.k, plan.g, *blocks))
+
+    @pytest.mark.parametrize("D", [1, 5, 8])
+    def test_planned_array_matches_single_moduli(self, D):
+        # blocks of ROOT_SUM_BLOCK = 4096 moduli: their edges and the last c
+        cs = (1, 2, 105, 4095, 4096, 4097, 8192, 9240, 12_285, 15_015, 20_000)
+        for m in (0, 1, 2):
+            R = _root_sum_array(5 * D, D, 20_000, m=m)
+            for c in cs:
+                assert series._root_sum_at(5 * D, D, c, m) == R[c - 1], (D, m, c)
+
+    def test_one_plan_for_many_coefficients(self):
+        series._array_plan.cache_clear()
+        _root_sum_array.cache_clear()
+        coeff_a(1, 1)
+        coeff_a(4, 1)
+        thm2_rhs(1, 1, 2)
+        info = series._array_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_plan_size_at_the_limit(self):
+        plan = series._array_plan(C_MAX_LIMIT)
+        assert plan.p.size < 2**16  # rows fit the uint16 row index
+        assert self.nbytes(plan) <= 5_000_000
 
 
 class TestCoeffA:

@@ -15,9 +15,11 @@ stdout and stderr captured per invocation:
   mod 2^k of an even dD and the roots mod 5^k;
 - `coeff --d 5 --D 1 --deltas 0.2 0.1 0.05`, the grid option that was
   dropped;
-- `verify prop1` on the shapes of its `prop1_box` pool, and
+- `verify prop1` on the shapes of its `prop1_box` pool,
   `verify prop1 --d -3 --D -3 --m 0 --bound 100`, whose dD is a positive
-  square outside the identity's domain d, D > 0;
+  square outside the identity's domain d, D > 0, and
+  `verify prop1 --d 25 --D 1 --m 2 --s 2 --bound 100`, whose classes cancel
+  below the summed error of their rays;
 - `qforms list --disc n` for -200 <= n <= 200;
 - `jm coeffs` at (m, N) = (0, 1) and (10, 64);
 - `trace --D 1` at the last d whose CM values fit in a double and the first
@@ -100,6 +102,7 @@ def invocations() -> list[list[str]]:
         calls.append(["verify", "prop1", "--d", d, "--D", D, "--m", m, "--s", s]
                      + ([] if bound == "default" else ["--bound", bound]))
     calls.append(["verify", "prop1", "--d", "-3", "--D", "-3", "--m", "0", "--bound", "100"])
+    calls.append(["verify", "prop1", "--d", "25", "--D", "1", "--m", "2", "--s", "2", "--bound", "100"])
     calls += [["qforms", "list", "--disc", str(n)] for n in range(-200, 201)]
     calls += [["jm", "coeffs", "--m", m, "--n", n] for m, n in (("0", "1"), ("10", "64"))]
     calls += [["trace", "--d", d, "--D", "1", "--m", m]
