@@ -103,6 +103,8 @@ def _cmd_verify_prop1(args) -> int:
 
 
 def _cmd_verify_thm2(args) -> int:
+    if min(args.d, args.D) <= 0 or math.isqrt(args.d * args.D) ** 2 != args.d * args.D:
+        raise ValueError(f"verify thm2 needs d, D > 0 and d·D a square, got d={args.d}, D={args.D}")
     tr = geodesic.trace_square(args.d, args.D, args.m)
     rhs = series.thm2_rhs(args.d, args.D, args.m)
     tol = args.tol if args.tol is not None else (rhs.tail_estimate + tr.err_estimate)

@@ -30,14 +30,12 @@ BOUND_DEFAULT_S15 = 1500
 # peak memory grows as bound^2: about 0.3 GB at 1,500 and 0.7-0.85 GB here
 BOUND_LIMIT = 2500
 
-# vertical-line quadrature in t = log y: up to RAY_PANEL_CAP Gauss-Kronrod G7/K15
-# panels, bisected until the summed |K15 - G7| is at most RAY_TOL relative, then
-# a two-term power tail K y^{1-s} + L y^{-s} fitted at the endpoint.
-# y_max stays well below the coset bound so the box still resolves the
-# c = 1 row at the largest heights sampled.
+# rays run in t = log y: a nested Clenshaw-Curtis rule of up to RAY_NODE_CAP nodes, to RAY_TOL
+# relative, then a power tail K y^{1-s} + L y^{-s} fitted at the endpoint.  y_max stays well
+# below the coset bound so the box still resolves the c = 1 row at the largest heights sampled.
 Y_MAX_FRACTION = 6.0
 RAY_TOL = 1e-9
-RAY_PANEL_CAP = 50
+RAY_NODE_CAP = 513
 
 
 @lru_cache(maxsize=4)
@@ -220,19 +218,28 @@ def eval_GmQ(m: int, Q: QuadForm, tau: complex, s: float, bound: int) -> complex
     return _sum_over_cosets(m, tau, s, bound, _excluded_bottoms(Q))
 
 
-def _kronrod_panel(f, lo: float, hi: float) -> tuple[complex, float]:
-    """(K15, |K15 - G7|) for the integral of f over [lo, hi], from QUADPACK's qk15 table."""
-    # nodes x > 0, then the weights at x and at the centre; G7 skips x[0], x[2], x[4], x[6]
-    x = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
-         0.5860872354676911, 0.4058451513773972, 0.20778495500789848)
-    wk = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
-          0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
-    wg = (0.0, 0.1294849661688697, 0.0, 0.27970539148927664, 0.0, 0.3818300505051189, 0.0,
-          0.4179591836734694)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    pairs = [f(mid - half * t) + f(mid + half * t) for t in x] + [f(mid)]
-    kronrod = half * sum(w * p for w, p in zip(wk, pairs))
-    return kronrod, abs(kronrod - half * sum(w * p for w, p in zip(wg, pairs)))
+def _clenshaw_curtis(f, lo: float, hi: float) -> tuple[complex, float, float, np.ndarray]:
+    """Nested Clenshaw-Curtis rule: (integral over [lo, hi], gap, tol, f at the nodes).
+
+    Level n samples t_k = hi - (hi - lo) sin^2(k pi / 2n), k = 0 .. n: its first
+    node is hi itself, and doubling n keeps every node.  From 9 nodes n doubles
+    until the last two levels agree to tol = RAY_TOL * max(1, integral of |f|),
+    or up to RAY_NODE_CAP nodes; gap is their difference.
+    """
+    n, fx, prev = 1, np.array([f(hi), f(lo)]), 0j
+    while True:
+        n *= 2
+        t = hi - (hi - lo) * np.sin(np.pi / (2 * n) * np.arange(1, n, 2)) ** 2
+        fx = np.insert(fx, range(1, n // 2 + 1), [f(x) for x in t])
+        # the weights' cosine series, with jk reduced mod n to keep each argument exact
+        j = np.arange(1, n // 2 + 1)
+        c = np.where(j == n // 2, 1.0, 2.0) / (4.0 * j * j - 1.0)
+        w = (hi - lo) / n * (1.0 - c @ np.cos(2 * np.pi / n * (np.outer(j, np.arange(n + 1)) % n)))
+        w[::n] *= 0.5
+        value, tol = complex(w @ fx), RAY_TOL * max(1.0, float(w @ np.abs(fx)))
+        if n > 8 and ((gap := abs(value - prev)) <= tol or n + 1 >= RAY_NODE_CAP):
+            return value, gap, tol, fx
+        prev = value
 
 
 def _ray_integral(
@@ -241,41 +248,30 @@ def _ray_integral(
     """int_{y0}^inf G_{m,Q}(beta + iy, s) dy/y for a form with a = 0.
 
     Returns (value, err_estimate).  Up to y_max the integral runs in
-    t = log y over G7/K15 panels: two, then the one with the largest
-    |K15 - G7| is bisected until those gaps sum to at most
-    RAY_TOL * max(1, sum |K15|).  Past y_max the integrand falls off like
+    t = log y by _clenshaw_curtis.  Past y_max the integrand falls off like
     K y^{1-s} plus a y^{-s} correction (the removed root coset at infinity
-    contributes exactly -y^{-s}); both coefficients are fitted at y_max and
-    y_max / 2 and the tail is completed analytically.  err_estimate is the
-    summed gap, at least RAY_TOL, plus the two-term tail's distance from the
-    one-term tail.  Raises ArithmeticError past RAY_PANEL_CAP panels or when
-    the summed gap exceeds the value, as at large m, where coset terms of
-    size exp(2 pi m Im(gamma tau)) cancel past double precision.
+    contributes exactly -y^{-s}); both coefficients are fitted at y_max, the
+    rule's first node, and y_max / 2, and the tail is completed analytically.
+    err_estimate is the rule's gap, at least RAY_TOL, plus the two-term
+    tail's distance from the one-term tail.  Raises ArithmeticError when the
+    gap exceeds the rule's tol (at the node cap) or the value, as at large m,
+    where coset terms of size exp(2 pi m Im(gamma tau)) cancel past double
+    precision.
     """
     excluded = _excluded_bottoms(Q)
 
     def f(t: float) -> complex:
         return _sum_over_cosets(m, complex(beta, math.exp(t)), s, bound, excluded)
 
-    t0, T = math.log(y0), math.log(y_max)
-    panels = {e: _kronrod_panel(f, *e) for e in ((t0, 0.5 * (t0 + T)), (0.5 * (t0 + T), T))}
-    while (gap := sum(g for _, g in panels.values())) > (
-        tol := RAY_TOL * max(1.0, sum(abs(v) for v, _ in panels.values()))
-    ) and len(panels) < RAY_PANEL_CAP:
-        lo, hi = max(panels, key=lambda edges: panels[edges][1])
-        del panels[lo, hi]
-        for edges in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)):
-            panels[edges] = _kronrod_panel(f, *edges)
-    total = sum(v for v, _ in panels.values())
+    total, gap, tol, fx = _clenshaw_curtis(f, math.log(y0), math.log(y_max))
     if gap > min(tol, abs(total)):
         raise ArithmeticError(
             f"the ray from {complex(beta, y0):.6g} at m={m}, s={s}, bound={bound} is unresolved: "
-            f"error {gap:.2g} against a value of {abs(total):.2g} in {len(panels)} panels (cap "
-            f"{RAY_PANEL_CAP}); try a smaller m")
+            f"error {gap:.2g} against a value of {abs(total):.2g} in {len(fx)} nodes (cap "
+            f"{RAY_NODE_CAP}); try a smaller m")
     # two-point fit of f = K y^{1-s} + L y^{-s} at y_max and y_max / 2
-    f1 = f(T)
-    f2 = f(T - math.log(2.0))
     y2 = y_max / 2.0
+    f1, f2 = complex(fx[0]), f(math.log(y2))
     det = y_max ** (1 - s) * y2 ** (-s) - y2 ** (1 - s) * y_max ** (-s)
     K = (f1 * y2 ** (-s) - f2 * y_max ** (-s)) / det
     L = (f2 * y_max ** (1 - s) - f1 * y2 ** (1 - s)) / det
@@ -353,6 +349,7 @@ def prop1_lhs(d: int, D: int, m: int, s: float, bound: int | None = None) -> tup
     # crude box-truncation heuristic on top of the quadrature error
     value, err = total / Bs, err / Bs + 10.0 * bound ** (2 - 2 * s)
     if err > abs(value):  # the classes cancel below the error, as rays of size 1e8 can
+        advice = "try a smaller m" if m > 1 else "the classes may cancel to zero at this m"
         raise ArithmeticError(f"the class sum at m={m}, s={s}, bound={bound} is unresolved: "
-                              f"{value:.4g} against an error of {err:.2g}; try a smaller m")
+                              f"{value:.4g} against an error of {err:.2g}; {advice}")
     return value, err

@@ -533,7 +533,7 @@ def _root_sums(d: int, D: int, c: np.ndarray, m: int, plan: _Plan) -> np.ndarray
 
 
 @lru_cache(maxsize=16)
-def _root_sum_array(d: int, D: int, c_max: int, m: int = 1) -> np.ndarray:
+def _root_sum_array(d: int, D: int, c_max: int, m: int) -> np.ndarray:
     """_root_sums for c = 1 .. c_max, shared through the cache and read-only."""
     _check_c_max(c_max)
     c = np.arange(1, c_max + 1, dtype=np.int64)
@@ -639,7 +639,7 @@ def b_series(d: int, D: int, s: float, c_max: int) -> SeriesValue:
     dD = d * D
     if dD > 0:
         _check_route(f"b({d}, {D}, s)", d, D)
-        return _b_series_bessel(d, D, s, _root_sum_array(d, D, c_max))
+        return _b_series_bessel(d, D, s, _root_sum_array(d, D, c_max, 1))
     if dD == 0 and d + D != 0:
         n = d + D
         if n < 0 or n % 4 not in (0, 1):
@@ -677,7 +677,7 @@ def coeff_a(d: int, D: int, c_max: int | None = None) -> SeriesValue:
     _check_series_c_max(c_max)
     # R(c) does not depend on s: one array at the largest c_max serves every
     # delta through its prefix
-    R = _root_sum_array(d, D, c_max)
+    R = _root_sum_array(d, D, c_max, 1)
     xs, ys, tails = [], [], []
     for delta, cm in grid:
         s = 0.75 + delta
@@ -717,7 +717,7 @@ def prop1_rhs(d: int, D: int, m: int, s: float, c_max: int = 10_000) -> SeriesVa
     _check_s_m_args(m, d, D)
     _check_series_c_max(c_max)
     dD = d * D
-    sm = _root_sum_array(d, D, c_max, m=m)  # S_m(d, D; 4c) for every c
+    sm = _root_sum_array(d, D, c_max, m)  # S_m(d, D; 4c) for every c
     if m > 0:
         pref = math.pi / math.sqrt(2) * math.sqrt(m) * dD**0.25
         value, spread, rho = _bessel_series(sm, pref, s - 0.5, math.pi * m * math.sqrt(dD))

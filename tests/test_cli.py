@@ -159,7 +159,7 @@ class TestVerifyCommands:
         assert captured.err == f"error: prop1_lhs needs d, D > 0, got d={d}, D={D}\n"
 
     def test_prop1_unresolved_ray_is_a_domain_error(self, capsys):
-        # at m = 6 the ray integrand cancels beyond what the panel cap resolves
+        # at m = 6 the coset terms cancel beyond double precision
         args = ["verify", "prop1", "--d", "4", "--D", "1", "--m", "6", "--s", "2", "--bound", "100"]
         assert dispatch(args) == EXIT_DOMAIN
         captured = capsys.readouterr()
@@ -173,6 +173,13 @@ class TestVerifyCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: the class sum at m=2, s=2.0, bound=100")
+
+    @pytest.mark.parametrize("d, D", [("5", "1"), ("-3", "1")])
+    def test_thm2_outside_square_pairs_is_a_domain_error(self, d, D, capsys):
+        assert dispatch(["verify", "thm2", "--d", d, "--D", D, "--m", "1"]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: verify thm2 needs d, D > 0 and d·D a square, got d={d}, D={D}\n"
 
     @pytest.mark.parametrize(
         "argv",

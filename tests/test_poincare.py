@@ -418,19 +418,68 @@ class TestEvalGmQ:
 def fixed_panels(f, lo, hi):
     """The reference ray rule on [lo, hi]: 12 panels per unit of log y, 32 Gauss nodes each.
 
-    Shaped like poincare._kronrod_panel with a zero gap, so that patched in
-    for it the ray integral keeps its two halves, y_max and tail fit."""
+    Shaped like poincare._clenshaw_curtis with a zero gap and f(hi) as its one
+    returned node, so that patched in for it the ray integral keeps its y_max
+    and tail fit."""
     nodes, weights = np.polynomial.legendre.leggauss(32)
     edges = np.linspace(lo, hi, math.ceil(12 * (hi - lo)) + 1)
     total = 0j
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         total += half * sum(w * f(mid + half * x) for x, w in zip(nodes, weights))
-    return total, 0.0
+    return total, 0.0, poincare.RAY_TOL, np.array([f(hi)])
+
+
+class TestClenshawCurtis:
+    """The nested rule on its own, away from the coset box."""
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_integrates_monomials(self, k):
+        lo, hi = -0.7, 2.3
+        value, gap, _, _ = poincare._clenshaw_curtis(lambda t: complex(t**k), lo, hi)
+        exact = (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+        assert abs(value - exact) <= 1e-13 * abs(exact), (k, value, exact)
+        assert gap <= 1e-13 * max(1.0, abs(exact))
+
+    def test_one_call_per_returned_node(self):
+        calls = []
+
+        def f(t):
+            calls.append(float(t))
+            return complex(math.exp(t) * math.cos(9 * t), math.sin(t))
+
+        T = math.log(50.0)
+        value, gap, tol, fx = poincare._clenshaw_curtis(f, 0.0, T)
+        assert len(calls) == len(set(calls)) == len(fx) > 9
+        # the first node is the right end itself, as the ray's tail fit expects
+        assert calls[0] == T and fx[0] == f(T)
+        assert gap <= tol
+        exact = complex((math.exp(T) * (math.cos(9 * T) + 9 * math.sin(9 * T)) - 1) / 82, 1 - math.cos(T))
+        assert abs(value - exact) <= 1e-12 * abs(exact)
+
+    def test_node_cap_ends_an_unresolved_rule(self):
+        rng = np.random.default_rng(7)
+        value, gap, tol, fx = poincare._clenshaw_curtis(lambda t: complex(rng.normal()), 0.0, 1.0)
+        assert len(fx) == poincare.RAY_NODE_CAP
+        assert gap > tol
+
+    def test_coset_sums_per_prop1_lhs(self, monkeypatch):
+        # a nested rule keeps every node it samples: 66 coset sums here, against
+        # 152 when bisected G7/K15 panels dropped the 15 nodes of each split panel
+        calls = []
+        inner = poincare._sum_over_cosets
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(poincare, "_sum_over_cosets", counting)
+        prop1_lhs(1, 1, 2, 2.0)
+        assert len(calls) <= 70
 
 
 class TestRayQuadrature:
-    """The adaptive G7/K15 ray rule against the fixed 12-per-unit, 32-node rule."""
+    """The nested Clenshaw-Curtis ray rule against the fixed 12-per-unit, 32-node rule."""
 
     @pytest.mark.parametrize(
         "shape", [(1, 1, 0, 2.0), (1, 1, 1, 2.0), (1, 1, 2, 2.0), (1, 1, 1, 1.5), (4, 1, 0, 2.0)]
@@ -450,7 +499,7 @@ class TestRayQuadrature:
         for args in rays:
             value, err = inner(*args)
             with monkeypatch.context() as patch:
-                patch.setattr(poincare, "_kronrod_panel", fixed_panels)
+                patch.setattr(poincare, "_clenshaw_curtis", fixed_panels)
                 fine, fine_err = inner(*args)
             # both errors carry the same tail term; the fine rule's gap is zero,
             # so its error is that tail term plus the RAY_TOL floor
@@ -465,7 +514,7 @@ class TestRayQuadrature:
             assert f"m={m}, s=2.0, bound=100" in str(exc)
             return
         assert m != 6  # the m = 6 integrand cancels beyond double precision
-        monkeypatch.setattr(poincare, "_kronrod_panel", fixed_panels)
+        monkeypatch.setattr(poincare, "_clenshaw_curtis", fixed_panels)
         fine, _ = prop1_lhs(4, 1, m, 2.0, bound=100)
         assert abs(value - fine) <= err, (value, fine, err)
 
@@ -475,6 +524,19 @@ class TestProp1Lhs:
         val, err = prop1_lhs(1, 1, 0, 2.0, bound=80)
         assert val == pytest.approx(0.625, abs=5e-3)
         assert err > 0
+
+    def test_unresolved_ray_is_refused(self):
+        # at m = 5 the split rays' coset terms cancel past double precision
+        with pytest.raises(ArithmeticError, match=r"^the ray from .* at m=5, s=2.0, bound=100 is unresolved"):
+            prop1_lhs(4, 1, 5, 2.0, bound=100)
+
+    def test_cancelling_class_sum_at_m1_is_refused_without_smaller_m_advice(self):
+        # prop1_rhs reads -1.5e-5 +- 7.0e-5 here: the class sum may be zero,
+        # and m = 0 is another series, so no smaller m resolves it
+        with pytest.raises(ArithmeticError) as exc:
+            prop1_lhs(9, 1, 1, 2.0, bound=100)
+        assert str(exc.value).startswith("the class sum at m=1, s=2.0, bound=100 is unresolved")
+        assert "smaller m" not in str(exc.value)
 
     def test_ray_and_semicircle_routes_agree(self):
         Q = QuadForm(1, 2, 0)

@@ -338,7 +338,7 @@ class TestRootSumArray:
         D = 2_042_040  # -3 * 5 * -7 * -11 * 13 * 17 * -8
         assert D > series.SIEVE_MAX
         for d in (1, 5):
-            R = _root_sum_array(d, D, 40)
+            R = _root_sum_array(d, D, 40, 1)
             for c in range(1, 41):
                 want = brute_root_sum(d, D, c)
                 assert abs(R[c - 1] - want) <= 1e-12 * max(1.0, abs(want)), (d, c)
@@ -352,7 +352,7 @@ class TestRootSumArray:
     def test_matches_direct_kloosterman(self):
         # K+(d, D; 4c) = 2 sqrt(c) R(c); (1, 4) goes through the d/D swap
         for d, D in self.GRID:
-            R = _root_sum_array(d, D, 128)
+            R = _root_sum_array(d, D, 128, 1)
             for c in [*range(1, 41), 64, 128]:
                 direct = _kp_direct(d, D, c)
                 assert 2.0 * math.sqrt(c) * R[c - 1] == pytest.approx(direct, abs=1e-8), (d, D, c)
@@ -365,8 +365,16 @@ class TestRootSumArray:
                 for c in (*range(1, 25), 64, 105, 128, 210, 256):
                     assert series._root_sum_at(d, D, c, m) == R[c - 1], (d, D, m, c)
 
+    def test_b_series_and_prop1_rhs_share_one_array(self):
+        # every caller passes (d, D, c_max, m) positionally, so both reach one cache key
+        _root_sum_array.cache_clear()
+        b_series(1, 1, 2.0, 10_000)
+        prop1_rhs(1, 1, 1, 2.0, c_max=10_000)
+        info = _root_sum_array.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_cached_array_is_read_only(self):
-        R = _root_sum_array(1, 1, 100)
+        R = _root_sum_array(1, 1, 100, 1)
         with pytest.raises(ValueError):
             R[0] = 0.0
 
@@ -435,7 +443,7 @@ class TestCoeffA:
         monkeypatch.setattr(series, "_root_sum_array", counting)
         # the smaller deltas' c_max read prefixes of the one array
         sv = coeff_a(1, 1)
-        assert calls == [((1, 1, 200_000), 1)]
+        assert calls == [((1, 1, 200_000, 1), 1)]
         assert sv.c_max == 200_000
 
     @staticmethod

@@ -19,7 +19,9 @@ stdout and stderr captured per invocation:
   `verify prop1 --d -3 --D -3 --m 0 --bound 100`, whose dD is a positive
   square outside the identity's domain d, D > 0, and
   `verify prop1 --d 25 --D 1 --m 2 --s 2 --bound 100`, whose classes cancel
-  below the summed error of their rays;
+  below the summed error of their rays, and
+  `verify prop1 --d 9 --D 1 --m 1 --s 2 --bound 100`, whose class sum is
+  zero within its error;
 - `qforms list --disc n` for -200 <= n <= 200;
 - `jm coeffs` at (m, N) = (0, 1) and (10, 64);
 - `trace --D 1` at the last d whose CM values fit in a double and the first
@@ -28,7 +30,8 @@ stdout and stderr captured per invocation:
 - `table --D 1 --m 1` over d in [-20, 30] and [25, 45], and
   `table --D 5 --m 1` over d in [-12, 12];
 - `verify values`, `verify symmetry`, `verify kloosterman` and
-  `verify thm2 --d 1 --D 1 --m 1`;
+  `verify thm2 --d 1 --D 1 --m 1`, and `verify thm2 --m 1` at (d, D) = (5, 1)
+  and (-3, 1), refused because dD is not a positive square;
 - usage errors: every `--cmax` at 0, -3, 250000 and `lots`,
   `verify prop1 --bound` at 0, 3000 and `x`, `--tol` at 0, -1, nan and
   inf on `verify prop1` and `verify thm2`, `--m 11` on `trace`, on
@@ -103,6 +106,7 @@ def invocations() -> list[list[str]]:
                      + ([] if bound == "default" else ["--bound", bound]))
     calls.append(["verify", "prop1", "--d", "-3", "--D", "-3", "--m", "0", "--bound", "100"])
     calls.append(["verify", "prop1", "--d", "25", "--D", "1", "--m", "2", "--s", "2", "--bound", "100"])
+    calls.append(["verify", "prop1", "--d", "9", "--D", "1", "--m", "1", "--s", "2", "--bound", "100"])
     calls += [["qforms", "list", "--disc", str(n)] for n in range(-200, 201)]
     calls += [["jm", "coeffs", "--m", m, "--n", n] for m, n in (("0", "1"), ("10", "64"))]
     calls += [["trace", "--d", d, "--D", "1", "--m", m]
@@ -113,6 +117,7 @@ def invocations() -> list[list[str]]:
     calls += [["verify", check] for check in ("values", "symmetry", "kloosterman")]
     thm2 = ["verify", "thm2", "--d", "1", "--D", "1", "--m", "1"]
     calls.append(thm2)
+    calls += [["verify", "thm2", "--d", d, "--D", "1", "--m", "1"] for d in ("5", "-3")]
     for command in (["coeff", "--d", "1", "--D", "1"], ["verify", "prop1"],
                     ["verify", "kloosterman"], ["verify", "symmetry"]):
         calls += [command + ["--cmax", v] for v in ("0", "-3", "250000", "lots")]
