@@ -8,10 +8,14 @@ chi_D(Q) times a value per class.  A geodesic S_Q with a != 0 is the
 semicircle c0 + r e^{i theta} and is integrated over theta; the a = 0
 representative of a square discriminant is the line Re tau = 0, integrated
 over t = log Im tau.  All quadrature is adaptive Gauss-Kronrod via scipy.
+Each cusp-to-cusp integral is memoized per process on m and the primitive
+form, exactly: j_{m,Q} and sqrt(disc) dtau/Q(tau, 1) see only the roots of Q,
+and with sqrt(disc) an integer, kQ rounds to the same centre and radius.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -76,6 +80,13 @@ def _check_m_twist(m: int, lowest: int, d: int, D: int) -> None:
     for name, v in (("d", d), ("D", D)):
         if v % 4 not in (0, 1):
             raise ValueError(f"{name} = {v} is not congruent to 0 or 1 mod 4")
+
+
+def _check_overflow(name: str, d: int, D: int, m: int, where: str) -> None:
+    """Refuse pi m sqrt|dD| > ln(DBL_MAX): ln|j_m| at the principal tau_Q or cycle apex."""
+    if (log_j := math.pi * m * math.sqrt(abs(d * D))) > LOG_DBL_MAX:
+        raise ValueError(f"{name}(d={d}, D={D}, m={m}): j_m overflows a double {where}, "
+                         f"pi m sqrt|dD| = {log_j:.2f} > ln(DBL_MAX) = {LOG_DBL_MAX:.2f}")
 
 
 def _quad_complex(f: Callable[[float], complex], a: float, b: float):
@@ -180,9 +191,7 @@ def trace_negative(d: int, D: int, m: int) -> TraceResult:
     if d >= 0 or D <= 0 or d * D >= 0:
         raise ValueError(f"trace_negative needs d < 0 < D, got d={d}, D={D}")
     _check_m_twist(m, 1, d, D)
-    if (log_j := math.pi * m * math.sqrt(-d * D)) > LOG_DBL_MAX:  # ln|j_m| at the principal tau_Q
-        raise ValueError(f"trace_negative(d={d}, D={D}, m={m}): j_m overflows a double at the "
-                         f"CM points, pi m sqrt|dD| = {log_j:.2f} > ln(DBL_MAX) = {LOG_DBL_MAX:.2f}")
+    _check_overflow("trace_negative", d, D, m, "at the CM points")
     cl = classes_negative(d * D)
     total, scale, _ = _class_sum(
         cl, D, lambda Q: (eval_jm(m, complex(-Q.b, math.sqrt(-Q.disc)) / (2 * Q.a)), 0.0)
@@ -201,6 +210,7 @@ def trace_nonsquare(d: int, D: int, m: int) -> TraceResult:
     if math.isqrt(dD) ** 2 == dD:
         raise ValueError(f"dD = {dD} is a square; use trace_square")
     _check_m_twist(m, 0, d, D)
+    _check_overflow("trace_nonsquare", d, D, m, "on the closed geodesics")
     cl = classes_nonsquare(dD)
     total, _, quad_err = _class_sum(
         cl, D, lambda Q: cycle_integral_closed(Q, lambda tau: eval_jm(m, tau))
@@ -214,8 +224,9 @@ def trace_nonsquare(d: int, D: int, m: int) -> TraceResult:
                     classes=len(cl.reps))
 
 
-def _cusp_integral(m: int, Q: QuadForm, route: str) -> tuple[complex, float]:
-    """sqrt(disc) int j_{m,Q} dtau/Q(tau, 1) from cusp to cusp, and quad's abserr."""
+@functools.lru_cache(maxsize=4096)
+def _cusp_integral(m: int, Q: QuadForm, route: str | None) -> tuple[complex, float]:
+    """sqrt(disc) int j_{m,Q} dtau/Q(tau, 1) cusp to cusp, and quad's abserr; route: a = 0 only."""
     if Q.a == 0 and route == "vertical":
         # int j_{m,Q}(iy) dy/y over y = e^t, |t| < T_VERTICAL
         return _quad_complex(
@@ -251,7 +262,9 @@ def trace_square(d: int, D: int, m: int, route: str = "vertical") -> TraceResult
     if route not in ("vertical", "semicircle"):
         raise ValueError(f"unknown route {route!r}")
     cl = classes_square(dD)
-    total, _, quad_err = _class_sum(cl, D, lambda Q: _cusp_integral(m, Q, route))
+    # the memo key: the primitive form, with the route only at a = 0
+    total, _, quad_err = _class_sum(cl, D, lambda Q: _cusp_integral(
+        m, QuadForm(*(x // Q.content() for x in (Q.a, Q.b, Q.c))), route if Q.a == 0 else None))
     # dtau_Q = sqrt(dD) dtau / Q(tau,1): divide by sqrt(dD) once, here
     total /= 2 * math.pi * b
     # endpoint clip + vertical tail + quadrature + quad's abserr, all scaled out of 2 pi b

@@ -11,6 +11,7 @@ from scipy.integrate import IntegrationWarning
 from mocktrace import geodesic
 from mocktrace.arith import pell_fundamental
 from mocktrace.geodesic import (
+    THETA_EPS,
     _quad_complex,
     _semicircle_integral,
     cycle_integral_closed,
@@ -20,6 +21,13 @@ from mocktrace.geodesic import (
 )
 from mocktrace.modfun import M_MAX
 from mocktrace.qform import QuadForm, classes_nonsquare
+
+
+@pytest.fixture(autouse=True)
+def cold_cusp_memo():
+    # the cusp-to-cusp memo lives for the process: each test starts from a
+    # cold one, so that what it counts does not depend on the tests before it
+    geodesic._cusp_integral.cache_clear()
 
 
 class TestGeodesicCycle:
@@ -209,6 +217,24 @@ class TestTraceNonsquare:
         with pytest.raises(ValueError):
             trace_nonsquare(4, 1, 1)
 
+    @pytest.mark.parametrize("m,last,first", [(1, 51044, 51045), (3, 5669, 5672), (10, 509, 512)])
+    def test_overflow_refused_up_front(self, m, last, first, monkeypatch):
+        # j_m at the apex of the principal cycle, height sqrt(dD)/2, is about
+        # e^{pi m sqrt(dD)}: the last nonsquare d below ln(DBL_MAX) reaches the
+        # class list, the next one is refused before it
+        class Listed(Exception):
+            pass
+
+        def listed(dD):
+            raise Listed(dD)
+
+        monkeypatch.setattr(geodesic, "classes_nonsquare", listed)
+        with pytest.raises(Listed):
+            trace_nonsquare(last, 1, m)
+        monkeypatch.setattr(geodesic, "classes_nonsquare", None)
+        with pytest.raises(ValueError, match=rf"d={first}, D=1, m={m}\).*ln\(DBL_MAX\) = 709\.78"):
+            trace_nonsquare(first, 1, m)
+
     def test_residue_check_stays_absolute(self):
         # a genuine quadrature failure, not rounding noise: the relative
         # check of the CM sums must not spread to the quadrature traces
@@ -260,3 +286,77 @@ class TestTraceSquare:
             trace_square(1, 1, 0)
         with pytest.raises(ValueError):
             trace_square(1, 1, 1, route="spiral")
+
+
+class TestCuspMemo:
+    """Each cusp-to-cusp class is integrated once per process, keyed on m and the primitive form."""
+
+    # the square traces of the bench pool: dD = b^2, b <= 5, D in {1, 5}
+    POOL_SQUARES = [(1, 1), (4, 1), (9, 1), (16, 1), (25, 1), (5, 5)]
+
+    def _record(self, monkeypatch):
+        calls = []
+        real = geodesic._quad_complex
+
+        def spy(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(geodesic, "_quad_complex", spy)
+        return calls
+
+    def test_shared_classes_are_not_integrated_again(self, monkeypatch):
+        calls = self._record(monkeypatch)
+        trace_square(25, 1, 1)
+        assert calls
+        calls.clear()
+        trace_square(5, 5, 1)  # the same five classes, twisted by chi_5
+        assert calls == []
+
+    def test_only_the_new_primitive_class_is_integrated(self, monkeypatch):
+        trace_square(1, 1, 2)  # [0, 1, 0] on the vertical route
+        calls = self._record(monkeypatch)
+        forms = []
+        real = geodesic.eval_jmQ
+
+        def spy(m, Q, tau):
+            forms.append(Q)
+            return real(m, Q, tau)
+
+        monkeypatch.setattr(geodesic, "eval_jmQ", spy)
+        trace_square(4, 1, 2)  # [0, 2, 0] is [0, 1, 0]; only [1, 2, 0] is new
+        assert calls == [(THETA_EPS, math.pi - THETA_EPS)]
+        assert set(forms) == {QuadForm(1, 2, 0)}
+
+    def test_route_keys_the_vertical_class(self, monkeypatch):
+        trace_square(1, 1, 1, route="vertical")
+        calls = self._record(monkeypatch)
+        trace_square(1, 1, 1, route="semicircle")  # [0, 1, 0] moved onto [1, 1, 0]
+        assert calls == [(THETA_EPS, math.pi - THETA_EPS)]
+
+    @staticmethod
+    def _outcome(d, D, m):
+        try:
+            res = trace_square(d, D, m)
+        except ArithmeticError as exc:
+            return str(exc)
+        return res.value, res.err_estimate
+
+    def test_warm_memo_gives_the_cold_bits(self):
+        cases = [(d, D, m) for d, D in self.POOL_SQUARES for m in (1, 2)]
+        warm = [self._outcome(*case) for case in cases]
+        assert geodesic._cusp_integral.cache_info().hits > 0
+        for case, got in zip(cases, warm):
+            geodesic._cusp_integral.cache_clear()
+            assert self._outcome(*case) == got, case
+
+    def test_multiple_of_a_form_has_its_integral(self):
+        want = geodesic._cusp_integral(1, QuadForm(1, 2, 0), None)
+        geodesic._cusp_integral.cache_clear()
+        assert geodesic._cusp_integral(1, QuadForm(2, 4, 0), None) == want
+
+    @pytest.mark.parametrize("b", [2, 3, 5])
+    def test_vertical_line_is_one_integral_for_every_b(self, b):
+        want = geodesic._cusp_integral(2, QuadForm(0, 1, 0), "vertical")
+        geodesic._cusp_integral.cache_clear()
+        assert geodesic._cusp_integral(2, QuadForm(0, b, 0), "vertical") == want

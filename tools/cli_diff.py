@@ -29,6 +29,10 @@ stdout and stderr captured per invocation:
   and `trace --d 5 --D 1 --m 4`, whose series keeps most terms near the arc;
 - `table --D 1 --m 1` over d in [-20, 30] and [25, 45], and
   `table --D 5 --m 1` over d in [-12, 12];
+- `table --D 1 --m 2` over d in [1, 30] and `table --D 5 --m 2` over d in
+  [1, 10], whose square d reuse cusp-to-cusp classes integrated earlier in
+  the same interpreter, and `trace --d 10001 --D 1 --m 3`, whose j_m
+  overflows a double at the apex of the principal cycle;
 - `verify values`, `verify symmetry`, `verify kloosterman` and
   `verify thm2 --d 1 --D 1 --m 1`, and `verify thm2 --m 1` at (d, D) = (5, 1)
   and (-3, 1), refused because dD is not a positive square;
@@ -114,6 +118,9 @@ def invocations() -> list[list[str]]:
                            ("5", "4"))]
     calls += [["table", "--D", D, "--m", "1", "--d-min", lo, "--d-max", hi]
               for D, lo, hi in (("1", "-20", "30"), ("1", "25", "45"), ("5", "-12", "12"))]
+    calls += [["table", "--D", D, "--m", "2", "--d-min", "1", "--d-max", hi]
+              for D, hi in (("1", "30"), ("5", "10"))]
+    calls.append(["trace", "--d", "10001", "--D", "1", "--m", "3"])
     calls += [["verify", check] for check in ("values", "symmetry", "kloosterman")]
     thm2 = ["verify", "thm2", "--d", "1", "--D", "1", "--m", "1"]
     calls.append(thm2)
