@@ -14,12 +14,17 @@ powers q || 4c, of local sums over the square roots of dD mod q.  chi_D is
 the product of the Kronecker characters of the prime discriminants of D,
 and each of those splits into the sign on c and a weight on the local
 roots at its own prime.  The half that depends only on the moduli is a
-_crt_plan: every 4c factored through the smallest-prime-factor sieve,
-each q's row and (4c/q)^-1 mod q, and each odd prime's Tonelli-Shanks
-constant.  Every array of one c_max shares one plan (_array_plan).  Each
-call adds its table of local roots of dD: Tonelli-Shanks and Hensel on
-arrays for odd p not dividing dD, a scan mod p and a lift per power for
-the rest.  All moduli 4c must lie inside the sieve: c_max <= C_MAX_LIMIT.
+_crt_plan: every 4c factored through the smallest-prime-factor sieve, and
+each odd prime's Tonelli-Shanks constant.  Every array of one c_max shares
+one plan (_array_plan).  A local sum depends only on q and 4c/q mod q, so
+a q || 4c for more moduli than it has residues, q < n(q) =
+floor(c_max/q') - floor(c_max/pq') with q' = q, or q/4 at p = 2, is a
+shared row: its sums are tabulated once per call, for every residue, and
+its pairs read them.  Every other pair keeps its row and (4c/q)^-1 mod q.
+Each call adds its table of local roots of dD: Tonelli-Shanks and Hensel
+on arrays for odd p not dividing dD, a scan mod p and a lift per power
+for the rest.  All moduli 4c must lie inside the sieve: c_max <=
+C_MAX_LIMIT.
 
 On top of K+ sit the series b(d, D, s), the extrapolated coefficients
 a(d, D), the spectral sides of the trace identity, and the divisor-sum
@@ -375,23 +380,37 @@ def _prime_powers(c_max: int) -> np.ndarray:
 
 
 class _Plan(NamedTuple):
-    """The half of _root_sums that depends only on the moduli: see _crt_plan."""
+    """The half of _root_sums that depends only on the moduli: see _crt_plan.
+
+    A row with q < n(q), the moduli it serves, is shared: _root_sums sums it
+    once per residue x = 4c/q mod q, and its pairs read those sums.
+    """
 
     p: np.ndarray  # int32, the prime powers p^k sorted by value
     k: np.ndarray  # int8
     g: np.ndarray  # int32, z^Q mod p as _odd_roots takes it
-    blocks: tuple  # per ROOT_SUM_BLOCK of moduli: (row uint16, inv int32, passes)
+    shared: np.ndarray  # int64, the tabulated rows, by value
+    inverses: np.ndarray  # int32, x^-1 mod q for x in [0, q), row after shared row
+    blocks: tuple  # per ROOT_SUM_BLOCK of moduli: (place int32, row uint16, inv int32, passes)
 
 
-def _crt_plan(c: np.ndarray, factors) -> _Plan:
+def _crt_plan(c: np.ndarray, factors, counts=1) -> _Plan:
     """The CRT split of every 4c into its prime powers q || 4c, block by block.
 
     `factors` are the (p, k) rows, sorted by p^k, of every such q.  4c splits
     into its 2-part, then one odd prime power per pass, smallest prime first.
-    Each block holds, for the pairs (4c, q) of all passes in order, the row of
-    q in `factors` and (4c/q)^-1 mod q, and for every pass but the 2-part the
-    positions in the block of the c it splits further (int16).  Per row, g is
-    z^Q mod p, p - 1 = Q 2^s, for the least non-residue z where s > 1, else 0.
+    A local sum depends only on q and x = 4c/q mod q, so a row whose q is
+    below `counts`, its number n(q) of moduli, is shared: its sums are
+    tabulated once per call over every x in [0, q), and the plan keeps x^-1
+    mod q for each.  For c = 1 .. c_max, n(q) = floor(c_max/q') -
+    floor(c_max/pq') with q' = q, or q/4 at p = 2 (_array_plan); for one
+    modulus n(q) = 1 and no row is shared.  Each block holds, for the pairs
+    (4c, q) of all passes in order, `place`, the pair's place in [that table
+    | the block's own sums]: offset(q) + x on a shared row, else past the
+    table, with the pair's row in `factors` and (4c/q)^-1 mod q kept for the
+    block's own sums.  For every pass but the 2-part it holds the positions
+    in the block of the c it splits further (int16).  Per row, g is z^Q mod
+    p, p - 1 = Q 2^s, for the least non-residue z where s > 1, else 0.
     """
     p, k = np.asarray(factors, dtype=np.int64).reshape(-1, 2).T
     qs, spf, s = p**k, _spf_sieve(), np.frexp((p - 1) & (1 - p))[1] - 1
@@ -401,6 +420,11 @@ def _crt_plan(c: np.ndarray, factors) -> _Plan:
         z[todo[found]], todo, cand = cand, todo[~found], cand + 1
     index = np.zeros(qs[-1] + 1, dtype=np.uint16)  # q -> row
     index[qs] = np.arange(qs.size)
+    shared = (qs < counts).nonzero()[0]
+    offset = np.full(qs.size, -1)  # row -> its x = 0 in the table, -1 if not shared
+    offset[shared] = np.cumsum(qs[shared]) - qs[shared]
+    x = np.arange(qs[shared].sum()) - np.repeat(offset[shared], qs[shared])
+    inverses = inverse_mod(x, np.repeat(qs[shared], qs[shared]))
     blocks = []
     for lo in range(0, c.size, ROOT_SUM_BLOCK):
         cb = c[lo : lo + ROOT_SUM_BLOCK]
@@ -419,17 +443,25 @@ def _crt_plan(c: np.ndarray, factors) -> _Plan:
             rest[idx] = n
             idx = idx[n > 1]
         owner, q = (np.concatenate(parts) for parts in zip(*passes))
-        inv = inverse_mod(4 * cb[owner] // q, q)
-        blocks.append((index[q], inv.astype(np.int32),
+        row, x = index[q], 4 * cb[owner] // q % q
+        place, own = offset[row] + x, (offset[row] < 0).nonzero()[0]  # the unshared pairs
+        place[own] = inverses.size + np.arange(own.size)
+        inv = inverse_mod(x[own], q[own]).astype(np.int32)
+        blocks.append((place.astype(np.int32), row[own], inv,
                        tuple(idx.astype(np.int16) for idx, _ in passes[1:])))
     g = _powmod(z, (p - 1) >> s, p)
-    return _Plan(p.astype(np.int32), k.astype(np.int8), g.astype(np.int32), tuple(blocks))
+    return _Plan(p.astype(np.int32), k.astype(np.int8), g.astype(np.int32), shared,
+                 inverses.astype(np.int32), tuple(blocks))
 
 
 @lru_cache(maxsize=4)
 def _array_plan(c_max: int) -> _Plan:
-    """_crt_plan of c = 1 .. c_max, shared by every root-sum array of that length."""
-    return _crt_plan(np.arange(1, c_max + 1, dtype=np.int64), _prime_powers(c_max))
+    """_crt_plan of c = 1 .. c_max, n(q) in closed form, shared by every array of that length."""
+    factors = _prime_powers(c_max)
+    p, k = factors.T
+    q = p**k >> 2 * (p == 2)  # q' || c
+    counts = c_max // q - c_max // (p * q)
+    return _crt_plan(np.arange(1, c_max + 1, dtype=np.int64), factors, counts)
 
 
 def _local_root_table(a: int, plan: _Plan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -461,8 +493,9 @@ def _local_root_table(a: int, plan: _Plan) -> tuple[np.ndarray, np.ndarray, np.n
 def _local_sums(row, inv, m, table) -> np.ndarray:
     """sum over r^2 = dD mod q of w(r) e(r t / q), t = 2m inv mod q, per pair (row, inv).
 
-    q is the prime power of the table row and inv = (4c/q)^-1 mod q; w(r) is
-    the root's genus weight, 1 when the table carries none.
+    q is the prime power of the table row and inv = x^-1 mod q, x = 4c/q mod
+    q: per residue of a shared row, or per pair of a block.  w(r) is the
+    root's genus weight, 1 when the table carries none.
     """
     qs, start, roots, weights = table
     q = qs[row]
@@ -494,7 +527,8 @@ def _root_sums(d: int, D: int, c: np.ndarray, m: int, plan: _Plan) -> np.ndarray
     product of the weighted local root sums, for every modulus alike.
     `plan` is the _crt_plan of c, the half that does not depend on dD; this
     call adds the table of local roots of dD at the plan's prime powers,
-    their weights and the sums, block by block.
+    their weights, the sums of the shared rows once, and the other sums
+    block by block.
     """
     dd, DD = (d, D) if is_fundamental_discriminant(D) else (D, d)
     a = dd * DD
@@ -513,10 +547,12 @@ def _root_sums(d: int, D: int, c: np.ndarray, m: int, plan: _Plan) -> np.ndarray
         at = q % (8 if p == 2 else p) == 0  # the roots mod q = p^k with p | c
         weights[at] *= chi[(roots[at] * roots[at] - a) // q[at] % chi.size]
     table = (qs, start, roots, weights)
+    shared = _local_sums(np.repeat(plan.shared, qs[plan.shared]), plan.inverses, m, table)
     out = np.empty(c.size)
-    for lo, (row, inv, passes) in zip(range(0, c.size, ROOT_SUM_BLOCK), plan.blocks):
-        L = _local_sums(row, inv, m, table)
-        n = row.size - sum(idx.size for idx in passes)  # the 2-parts come first
+    for lo, (place, row, inv, passes) in zip(range(0, c.size, ROOT_SUM_BLOCK), plan.blocks):
+        own = _local_sums(row, inv, m, table)
+        L = np.concatenate((shared, own))[place]
+        n = L.size - sum(idx.size for idx in passes)  # the 2-parts come first
         R, at = L[:n], n
         for idx in passes:  # each later pass multiplies in its prime power's sums
             R[idx] *= L[at : at + idx.size]

@@ -4,6 +4,7 @@ import cmath
 import math
 import re
 import time
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -397,8 +398,8 @@ class TestRootSumPlan:
 
     @staticmethod
     def nbytes(plan) -> int:
-        blocks = (a for row, inv, passes in plan.blocks for a in (row, inv, *passes))
-        return sum(a.nbytes for a in (plan.p, plan.k, plan.g, *blocks))
+        blocks = (a for place, row, inv, passes in plan.blocks for a in (place, row, inv, *passes))
+        return sum(a.nbytes for a in (plan.p, plan.k, plan.g, plan.shared, plan.inverses, *blocks))
 
     @pytest.mark.parametrize("D", [1, 5, 8])
     def test_planned_array_matches_single_moduli(self, D):
@@ -408,6 +409,44 @@ class TestRootSumPlan:
             R = _root_sum_array(5 * D, D, 20_000, m=m)
             for c in cs:
                 assert series._root_sum_at(5 * D, D, c, m) == R[c - 1], (D, m, c)
+
+    @pytest.mark.parametrize("D", [1, 5, 8])
+    def test_shared_and_own_rows_match_single_moduli(self, D):
+        # 2^17's 2-part and 1901 have rows of their own at c_max 200,000, 2^16 and 3 5 7
+        # are shared rows
+        cs = (1, 4096, 4097, 131_072, 196_608, 199_605, 200_000)
+        for m in (0, 1, 2):
+            R = _root_sum_array(5 * D, D, 200_000, m)
+            for c in cs:
+                assert series._root_sum_at(5 * D, D, c, m) == R[c - 1], (D, m, c)
+
+    def test_shared_rows_change_no_bit(self):
+        # the same moduli on a plan that shares no row: every pair sums its own roots
+        c = np.arange(1, 200_001)
+        unshared = series._crt_plan(c, series._prime_powers(200_000))
+        assert unshared.shared.size == 0
+        for d, D in ((1, 1), (4, 1), (5, 1), (25, 5), (40, 8)):
+            for m in (0, 1, 2):
+                want = series._root_sums(d, D, c, m, unshared)
+                assert np.array_equal(_root_sum_array(d, D, 200_000, m), want), (d, D, m)
+
+    def test_shared_rows_are_the_q_below_their_count(self):
+        c_max = 20_000
+        count = Counter(p**k for c in range(1, c_max + 1) for p, k in series.factorize(4 * c))
+        plan = series._array_plan(c_max)
+        qs = plan.p.astype(np.int64) ** plan.k
+        assert qs[plan.shared].tolist() == sorted(q for q, n in count.items() if q < n)
+        # the inverses of the residues x, row after shared row
+        x = np.concatenate([np.arange(q) for q in qs[plan.shared]])
+        q = np.repeat(qs[plan.shared], qs[plan.shared])
+        unit = np.gcd(x, q) == 1
+        assert (x * plan.inverses % q)[unit].tolist() == [1] * int(unit.sum())
+
+    @pytest.mark.parametrize("c", [1, 4096, 199_605])
+    def test_one_modulus_shares_no_row(self, c):
+        factors = sorted(series.factorize(4 * c), key=lambda pk: pk[0] ** pk[1])
+        plan = series._crt_plan(np.array([c]), factors)
+        assert plan.shared.size == plan.inverses.size == 0
 
     def test_one_plan_for_many_coefficients(self):
         series._array_plan.cache_clear()
