@@ -19,8 +19,6 @@ from .arith import bessel_I_vec, gamma_real, inverse_mod
 from .qform import QuadForm, apply, chi_D, classes_square, cusp_matrix
 
 __all__ = [
-    "eval_Gm",
-    "eval_GmQ",
     "prop1_lhs",
     "B_factor",
 ]
@@ -165,6 +163,7 @@ def _folded_sum(m: int, y: float, s: float, bound: int, excluded: frozenset) -> 
 def _sum_over_cosets(
     m: int, tau: complex, s: float, bound: int, excluded: frozenset[tuple[int, int]] = frozenset()
 ) -> complex:
+    """G_m(tau, s) on max(|c|, |d|) <= bound less `excluded`; G_{m,Q} with _excluded_bottoms(Q)."""
     excluded = frozenset(excluded)
     if tau.real == 0 and all(_normalize_bottom(c, -d) in excluded for c, d in excluded):
         return _folded_sum(m, tau.imag, s, bound, excluded)
@@ -195,27 +194,9 @@ def _sum_over_cosets(
     return complex(np.dot(phi, np.cos(u, out=n2)), -np.dot(phi, np.sin(u, out=u)))
 
 
-def eval_Gm(m: int, tau: complex, s: float, bound: int) -> complex:
-    """Truncated Poincare series over all cosets with max(|c|,|d|) <= bound."""
-    if tau.imag <= 0:
-        raise ValueError(f"tau must be in the upper half-plane, got {tau}")
-    if s <= 1:
-        raise ValueError(f"eval_Gm requires s > 1, got {s}")
-    return _sum_over_cosets(m, tau, s, bound)
-
-
 def _excluded_bottoms(Q: QuadForm) -> frozenset[tuple[int, int]]:
     # the coset fixing the root alpha = r/s has bottom row prop. to (s, -r)
     return frozenset(_normalize_bottom(q, -p) for (p, q) in Q.roots())
-
-
-def eval_GmQ(m: int, Q: QuadForm, tau: complex, s: float, bound: int) -> complex:
-    """The modified series: eval_Gm minus the two root cosets of Q."""
-    if tau.imag <= 0:
-        raise ValueError(f"tau must be in the upper half-plane, got {tau}")
-    if s <= 1:
-        raise ValueError(f"eval_GmQ requires s > 1, got {s}")
-    return _sum_over_cosets(m, tau, s, bound, _excluded_bottoms(Q))
 
 
 def _clenshaw_curtis(f, lo: float, hi: float) -> tuple[complex, float, float, np.ndarray]:

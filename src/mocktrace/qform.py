@@ -1,9 +1,9 @@
 """Binary quadratic forms and the modular-group action.
 
 Class enumeration in all three discriminant regimes (negative definite,
-positive nonsquare indefinite, positive square), the explicit reduction to
-[a, b, 0] representatives for square discriminants, genus characters chi_D,
-and automorphs of indefinite forms.
+positive nonsquare indefinite, positive square, the last by its [a, b, 0]
+representatives), genus characters chi_D, cusp matrices, and automorphs of
+indefinite forms.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "classes_nonsquare",
     "classes_square",
     "cusp_matrix",
-    "reduce_square",
     "chi_D",
     "automorph_generator",
 ]
@@ -115,7 +114,6 @@ def translation(k: int) -> UnimodularMatrix:
 class ClassList:
     """One representative per modular-group class of forms of a discriminant."""
 
-    discriminant: int
     reps: list[QuadForm]
     stab_orders: list[int] = field(default_factory=list)
 
@@ -162,7 +160,7 @@ def classes_negative(d: int) -> ClassList:
             orders.append(2)
         else:
             orders.append(1)
-    return ClassList(d, reps, orders)
+    return ClassList(reps, orders)
 
 
 def _is_reduced_indefinite(a: int, b: int, d: int) -> bool:
@@ -219,7 +217,7 @@ def classes_nonsquare(d: int) -> ClassList:
             seen.add(F)
         reps.append(min(cycle))
     reps.sort()
-    return ClassList(d, reps)
+    return ClassList(reps)
 
 
 def classes_square(d: int) -> ClassList:
@@ -228,7 +226,7 @@ def classes_square(d: int) -> ClassList:
     b = math.isqrt(d)
     if d <= 0 or b * b != d:
         raise ValueError(f"d must be a positive perfect square, got {d}")
-    return ClassList(d, [QuadForm(a, b, 0) for a in range(b)])
+    return ClassList([QuadForm(a, b, 0) for a in range(b)])
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -253,33 +251,6 @@ def cusp_matrix(r: int, s: int) -> UnimodularMatrix:
     g, x, y = _xgcd(r, s)
     # r x + s y = 1 -> p = -x, q = -y
     return UnimodularMatrix(-x, -y, s, -r)
-
-
-def reduce_square(Q: QuadForm) -> tuple[QuadForm, UnimodularMatrix]:
-    """Reduce a square-discriminant form to its [a, b, 0] representative.
-
-    Returns (R, gamma) with R = [a, b, 0], 0 <= a < b = sqrt(disc), and
-    apply(gamma, Q) = R.  Follows the constructive argument: kill the last
-    coefficient with a matrix built from a root of Q, the root that leaves
-    the middle coefficient +b, then translate the first coefficient into [0, b).
-    """
-    # step 1: gamma Q = [a1, +-b, 0]; need (gamma Q)(0,1) = Q(-B, A) = 0,
-    # i.e. (-B, A) = -(p, q) for a root vector (p, q): the top row of
-    # S @ cusp_matrix(p, q) is (-q, p).  Sending one root to infinity leaves
-    # +b and the other -b.  Q.roots() rejects a nonsquare Q.
-    moves = [S @ cusp_matrix(*r) for r in Q.roots()]
-    e = math.isqrt(Q.disc)
-    gamma = next(g for g in moves if apply(g, Q).b == e)
-    R = apply(gamma, Q)
-    assert R.c == 0 and R.b == e, (Q, R)
-    # step 2: translate a into [0, b): [[1,0],[k,1]] [a, b, 0] = [a - k b, b, 0]
-    k = R.a // e
-    if k != 0:
-        M = UnimodularMatrix(1, 0, k, 1)
-        gamma = M @ gamma
-        R = apply(M, R)
-    assert 0 <= R.a < e and R.b == e and R.c == 0, (Q, R)
-    return R, gamma
 
 
 def chi_D(D: int, Q: QuadForm) -> int:

@@ -170,12 +170,46 @@ class TestRouter:
             geodesic.trace(0, 1, 1)
 
 
+def zagier_g1(n_max: int) -> dict[int, int]:
+    """B(n) for 0 <= n <= n_max, q^n coefficients of g_1 = theta_1(tau) E_4(4 tau) / eta(4 tau)^6.
+
+    theta_1 = sum over all integers k of (-1)^k q^{k^2}, and g_1 = q^{-1} theta_1 H(q^4) with
+    H = E_4 / prod (1 - x^j)^6, all in exact integers.  Zagier's "Traces of singular
+    moduli": Tr_d(j - 744) = -B(d) for every discriminant -d < 0."""
+    size = (n_max + 1) // 4 + 1
+    sigma1, sigma3 = [0] * size, [0] * size
+    for k in range(1, size):
+        for multiple in range(k, size, k):
+            sigma1[multiple] += k
+            sigma3[multiple] += k**3
+    # n F_n = 6 sum_k sigma_1(k) F_{n-k}, from the logarithmic derivative of prod (1 - x^j)^-6
+    inverse_eta = [1] + [0] * (size - 1)
+    for n in range(1, size):
+        inverse_eta[n] = 6 * sum(sigma1[k] * inverse_eta[n - k] for k in range(1, n + 1)) // n
+    e4 = [1] + [240 * sigma3[k] for k in range(1, size)]
+    h = [sum(e4[k] * inverse_eta[n - k] for k in range(n + 1)) for n in range(size)]
+    coeffs = {}
+    for n in range(n_max + 1):
+        k_max = math.isqrt(n + 1)
+        coeffs[n] = sum((-1) ** abs(k) * h[(n + 1 - k * k) // 4] for k in range(-k_max, k_max + 1)
+                        if (n + 1 - k * k) % 4 == 0)
+    return coeffs
+
+
 class TestTraceNegative:
     @pytest.mark.parametrize("d,value", [(-3, -248.0), (-4, 492.0), (-7, -4119.0)])
     def test_classical_cm_traces(self, d, value):
         res = trace_negative(d, 1, 1)
         assert abs(res.value - value) < 1e-6
         assert res.method == "cm_points"
+
+    def test_matches_zagier_integers(self):
+        # an oracle outside both pipelines, exact, for every discriminant -1999 <= -n <= -3
+        B = zagier_g1(1999)
+        for n in range(3, 2000):
+            if n % 4 in (0, 3):
+                res = trace_negative(-n, 1, 1)
+                assert abs(res.value + B[n]) <= res.err_estimate, (n, res.value, B[n])
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -11,12 +11,7 @@ from scipy.integrate import quad
 
 from mocktrace import poincare
 from mocktrace.arith import bessel_I_vec, zeta_real
-from mocktrace.poincare import (
-    B_factor,
-    eval_Gm,
-    eval_GmQ,
-    prop1_lhs,
-)
+from mocktrace.poincare import B_factor, prop1_lhs
 from mocktrace.poincare import (
     _coset_arrays,
     _coset_geometry,
@@ -353,6 +348,8 @@ class TestBFactor:
 
 
 class TestEvalGm:
+    """G_m through the coset-box kernel that prop1_lhs's rays call."""
+
     def test_m0_matches_full_lattice_sum(self):
         tau = complex(0.3, 1.0)
         s = 2.0
@@ -364,7 +361,7 @@ class TestEvalGm:
                     continue
                 w = c * tau + d
                 brute += (tau.imag / abs(w) ** 2) ** s
-        got = eval_Gm(0, tau, s, B)
+        got = _sum_over_cosets(0, tau, s, B)
         assert abs(got.imag) < 1e-12
         assert got.real == pytest.approx(brute / (2 * zeta_real(2 * s)), rel=1e-3)
 
@@ -372,31 +369,27 @@ class TestEvalGm:
         # the coset box is symmetric under d -> -d, so G(-conj tau) = conj G(tau)
         for m in (0, 1):
             tau = complex(0.37, 0.9)
-            a = eval_Gm(m, complex(-tau.real, tau.imag), 1.5, 60)
-            b = eval_Gm(m, tau, 1.5, 60)
+            a = _sum_over_cosets(m, complex(-tau.real, tau.imag), 1.5, 60)
+            b = _sum_over_cosets(m, tau, 1.5, 60)
             assert abs(a - b.conjugate()) < 1e-10 * max(1.0, abs(b))
 
     def test_translation_approximate_invariance(self):
         tau = complex(0.2, 1.1)
-        a = eval_Gm(0, tau + 1, 2.0, 150)
-        b = eval_Gm(0, tau, 2.0, 150)
+        a = _sum_over_cosets(0, tau + 1, 2.0, 150)
+        b = _sum_over_cosets(0, tau, 2.0, 150)
         assert abs(a - b) < 1e-3 * abs(b)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            eval_Gm(0, complex(0.0, -1.0), 2.0, 10)
-        with pytest.raises(ValueError):
-            eval_Gm(0, complex(0.0, 1.0), 1.0, 10)
 
 
 class TestEvalGmQ:
+    """G_{m,Q}: the kernel with Q's root cosets as `excluded`."""
+
     def test_removes_exactly_the_root_cosets(self):
         Q = QuadForm(0, 1, 0)  # roots 0 and infinity
         tau = complex(0.25, 1.3)
         s = 1.8
         m = 1
-        full = eval_Gm(m, tau, s, 40)
-        cut = eval_GmQ(m, Q, tau, s, 40)
+        full = _sum_over_cosets(m, tau, s, 40)
+        cut = _sum_over_cosets(m, tau, s, 40, _excluded_bottoms(Q))
         # identity coset: e(-m Re tau) phi(Im tau); (1, 0) coset: gamma tau = -1/tau
         w = -1.0 / tau
         expected = cut
@@ -411,7 +404,7 @@ class TestEvalGmQ:
     def test_finite_near_cusp(self):
         # the raw series blows up toward the cusp; the corrected one stays modest
         Q = QuadForm(0, 1, 0)
-        val = eval_GmQ(1, Q, complex(0.0, 40.0), 1.5, 60)
+        val = _sum_over_cosets(1, complex(0.0, 40.0), 1.5, 60, _excluded_bottoms(Q))
         assert abs(val) < 50.0
 
 

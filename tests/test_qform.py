@@ -15,7 +15,6 @@ from mocktrace.qform import (
     classes_negative,
     classes_nonsquare,
     classes_square,
-    reduce_square,
 )
 
 
@@ -27,15 +26,6 @@ def random_unimodular(rng: random.Random, size: int = 5) -> UnimodularMatrix:
         s = UnimodularMatrix(0, -1, 1, 0)
         g = (t @ s) if rng.random() < 0.5 else (t @ g)
     return g
-
-
-def _moved_square_forms() -> list[QuadForm]:
-    rng = random.Random(19)
-    reps = classes_square(9).reps + classes_square(16).reps
-    return [apply(random_unimodular(rng), Q0) for Q0 in reps for _ in range(10)]
-
-
-MOVED_SQUARE_FORMS = _moved_square_forms()
 
 
 class TestClassLists:
@@ -140,23 +130,7 @@ class TestSquareForms:
 
     @pytest.mark.parametrize("Q", [QuadForm(1, 1, 1), QuadForm(1, 1, -1), QuadForm(0, 0, 1)])
     def test_roots_and_reduce_square_reject_other_discriminants(self, Q):
-        # negative (-3), positive nonsquare (5) and zero: the same message from
-        # both, with the sign checked before any square root is taken
-        for call in (Q.roots, lambda: reduce_square(Q)):
-            with pytest.raises(ValueError, match="does not have positive square discriminant"):
-                call()
-
-    @pytest.mark.parametrize(
-        "forms",
-        [
-            pytest.param(MOVED_SQUARE_FORMS, id="random"),
-            # a = 0: the first root is the cusp at infinity, (1, 0)
-            pytest.param([QuadForm(0, 3, 1), QuadForm(0, -4, 2), QuadForm(0, 5, -3)], id="a_zero"),
-        ],
-    )
-    def test_reduce_square_lands_on_standard_form(self, forms):
-        for Q in forms:
-            red, gamma = reduce_square(Q)
-            assert red.c == 0 and 0 <= red.a < red.b
-            assert red.b * red.b == Q.disc
-            assert apply(gamma, Q) == red
+        # negative (-3), positive nonsquare (5) and zero, with the sign checked
+        # before any square root is taken
+        with pytest.raises(ValueError, match="does not have positive square discriminant"):
+            Q.roots()

@@ -15,7 +15,9 @@ stdout and stderr captured per invocation:
   mod 2^k of an even dD and the roots mod 5^k;
 - `coeff --d 5 --D 1 --deltas 0.2 0.1 0.05`, the grid option that was
   dropped;
-- `verify prop1` on the shapes of its `prop1_box` pool,
+- `verify prop1` on the shapes of its `prop1_box` pool, and on the same
+  shapes at `--bound 40` and `--bound 80`, where prop1_lhs's ray height
+  y_max = max(20, bound / 6) sits on its floor of 20,
   `verify prop1 --d -3 --D -3 --m 0 --bound 100`, whose dD is a positive
   square outside the identity's domain d, D > 0, and
   `verify prop1 --d 25 --D 1 --m 2 --s 2 --bound 100`, whose classes cancel
@@ -104,10 +106,12 @@ def invocations() -> list[list[str]]:
     calls += [["coeff", "--d", op.split()[1], "--D", "1"] for op in coeff_verify_pool()]
     calls += [["coeff", "--d", d, "--D", D] for d, D in (("1", "8"), ("1", "12"), ("8", "5"))]
     calls.append(["coeff", "--d", "5", "--D", "1", "--deltas", "0.2", "0.1", "0.05"])
-    for op in prop1_box_pool():
-        d, D, m, s, bound = op.split()[1:]
-        calls.append(["verify", "prop1", "--d", d, "--D", D, "--m", m, "--s", s]
-                     + ([] if bound == "default" else ["--bound", bound]))
+    for low in (None, "40", "80"):
+        for op in prop1_box_pool():
+            d, D, m, s, bound = op.split()[1:]
+            bound = low or bound
+            calls.append(["verify", "prop1", "--d", d, "--D", D, "--m", m, "--s", s]
+                         + ([] if bound == "default" else ["--bound", bound]))
     calls.append(["verify", "prop1", "--d", "-3", "--D", "-3", "--m", "0", "--bound", "100"])
     calls.append(["verify", "prop1", "--d", "25", "--D", "1", "--m", "2", "--s", "2", "--bound", "100"])
     calls.append(["verify", "prop1", "--d", "9", "--D", "1", "--m", "1", "--s", "2", "--bound", "100"])
